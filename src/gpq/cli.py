@@ -69,6 +69,14 @@ def _print_report(report_dict: dict, lines: list[str], fmt: str, out=None):
         out.write("\n".join(lines) + "\n")
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: an integer in [0, 2**64)."""
+    seed = int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"{seed} is outside [0, 2**64)")
+    return seed
+
+
 def _scheme(args) -> PartitionScheme:
     return PartitionScheme(PartitionKind(args.scheme), args.groups)
 
@@ -200,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["structured", "unified"], default="unified")
     p.add_argument("-g", "--groups", type=int, required=True)
     p.add_argument("-c", "--clusters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", choices=["text", "json"], default="text")
@@ -209,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompress", help="reconstruct an embedding file from a container")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["mean", "sample"], default="mean")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--format", choices=["w2v", "raw"], default="raw")
     p.add_argument("--vocab", help="token file for w2v output when the container has no vocab")
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rwe", help="generate random row-normalized embeddings")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--projection-dim", type=int)
     p.add_argument("--projection-output")
     p.add_argument("-o", "--output", required=True)
@@ -248,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["structured", "unified"], default="unified")
     p.add_argument("--config", action="append", required=True,
                    help="G:C pair; repeatable")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("-k", type=int, default=5)
     p.add_argument("--parallel", action="store_true")

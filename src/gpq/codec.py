@@ -15,7 +15,7 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .quantizer import (PartitionKind, PartitionScheme, QuantizedEmbedding,
                         index_bit_width)
 
@@ -50,6 +50,8 @@ def unpack_indices(data: bytes, count: int, bits: int) -> np.ndarray:
 
 
 def encode(q: QuantizedEmbedding) -> bytes:
+    if not 0 <= q.seed < 2**64:
+        raise DataError(f"seed {q.seed} does not fit the header's 64 bits")
     flags = 0
     if q.codebook_vars is not None:
         flags |= _FLAG_VARS

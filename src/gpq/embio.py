@@ -67,7 +67,8 @@ def _format_f32(x: np.float32) -> str:
 
 def load_word2vec_text(source: BinaryIO) -> EmbeddingMatrix:
     """Parse the word2vec text format into an EmbeddingMatrix."""
-    header = source.readline().decode("utf-8").strip()
+    # an undecodable byte cannot be part of the two integers: it fails below
+    header = source.readline().decode("utf-8", errors="replace").strip()
     parts = header.split()
     if len(parts) != 2:
         raise DataError(f"malformed header: {header!r}")
@@ -81,26 +82,29 @@ def load_word2vec_text(source: BinaryIO) -> EmbeddingMatrix:
     values = np.empty((count, dim), dtype=np.float32)
     vocab: list[str] = []
     seen: set[str] = set()
-    for i in range(count):
-        line = source.readline().decode("utf-8").strip()
-        if not line:
-            raise DataError(f"row count mismatch: expected {count} rows, got {i}")
-        fields = line.split()
-        if len(fields) != dim + 1:
-            raise DataError(
-                f"dim mismatch at row {i}: expected {dim} values, got {len(fields) - 1}")
-        token = fields[0]
-        if token in seen:
-            raise DataError(f"duplicate token {token!r}")
-        seen.add(token)
-        vocab.append(token)
-        try:
-            row = np.array([float(f) for f in fields[1:]], dtype=np.float32)
-        except ValueError:
-            raise DataError(f"unparseable value at row {i}") from None
-        if not np.all(np.isfinite(row)):
-            raise DataError(f"non-finite value at row {i}")
-        values[i] = row
+    try:
+        for i in range(count):
+            line = source.readline().decode("utf-8").strip()
+            if not line:
+                raise DataError(f"row count mismatch: expected {count} rows, got {i}")
+            fields = line.split()
+            if len(fields) != dim + 1:
+                raise DataError(
+                    f"dim mismatch at row {i}: expected {dim} values, got {len(fields) - 1}")
+            token = fields[0]
+            if token in seen:
+                raise DataError(f"duplicate token {token!r}")
+            seen.add(token)
+            vocab.append(token)
+            try:
+                row = np.array([float(f) for f in fields[1:]], dtype=np.float32)
+            except ValueError:
+                raise DataError(f"unparseable value at row {i}") from None
+            if not np.all(np.isfinite(row)):
+                raise DataError(f"non-finite value at row {i}")
+            values[i] = row
+    except UnicodeDecodeError:
+        raise DataError(f"row {i} is not UTF-8 text") from None
     return EmbeddingMatrix(values, vocab)
 
 

@@ -4,10 +4,30 @@ Returns per-cluster means, per-dimension population variances, and
 assignments. Results are a pure function of (points, c, seed, max_iter,
 rel_tol) and, up to cluster relabeling and float summation order,
 independent of the order of input points.
+
+Each Lloyd iteration assigns every point to its nearest centroid with one
+of two kernels, chosen from the point dimension d alone:
+
+- d == 1: the points are sorted once, before the loop. In one dimension
+  every cluster is a contiguous run of sorted points, so an iteration
+  sorts the c centroids, binary-searches the midpoints between
+  neighbouring centroids into the sorted points and expands the run
+  lengths into labels: O(c log m) search plus O(m) label scatter, with
+  no temporary larger than the points themselves.
+- d > 1: argmin of ||c||^2 - 2 x.c over blocks of _CHUNK_ROWS points, so
+  no temporary is larger than O(_CHUNK_ROWS * c).
+
+Both kernels resolve ties to the lowest centroid index, and neither the
+kernel nor the block size is a setting: both follow from the shape of the
+points, so results stay a pure function of the five inputs above. The
+update is one statistics pass: per-cluster counts and sums by
+np.bincount, and one residual whose squares give the objective and, after
+the last iteration, the variances.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +37,7 @@ from .rng import derive_seed, mix64, row_hashes
 
 DEFAULT_MAX_ITER = 100
 DEFAULT_REL_TOL = 1e-6
+_CHUNK_ROWS = 65536  # points per block of the dense assignment
 
 
 @dataclass(frozen=True)
@@ -63,10 +84,45 @@ def _init_plus_plus(pts: np.ndarray, c: int, seed: int) -> np.ndarray:
     return centers
 
 
-def _assign(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _assign_dense(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # ||x||^2 term is constant per point; argmin ties resolve to lowest index
-    d2 = (np.sum(centroids**2, axis=1)[None, :] - 2.0 * pts @ centroids.T)
-    return np.argmin(d2, axis=1)
+    sq = np.sum(centroids**2, axis=1)
+    out = np.empty(pts.shape[0], dtype=np.intp)
+    for lo in range(0, pts.shape[0], _CHUNK_ROWS):
+        d2 = pts[lo:lo + _CHUNK_ROWS] @ centroids.T
+        d2 *= -2.0  # exact, so d2 + sq rounds as sq - 2 x.c does
+        d2 += sq
+        out[lo:lo + _CHUNK_ROWS] = np.argmin(d2, axis=1)
+    return out
+
+
+def _assign_sorted(xs: np.ndarray, order: np.ndarray,
+                   centroids: np.ndarray) -> np.ndarray:
+    """Nearest-centroid labels of 1-D points given sorted, xs = x[order]."""
+    rank = np.argsort(centroids[:, 0], kind="stable")
+    cs = centroids[rank, 0]
+    # of equal centroids, the first in stable order has the lowest index
+    first = np.concatenate(([True], cs[1:] != cs[:-1]))
+    cs, labels = cs[first], rank[first]
+    mid = 0.5 * (cs[:-1] + cs[1:])
+    # a point on a midpoint goes to the lower-indexed neighbour
+    bounds = np.where(labels[:-1] < labels[1:],
+                      np.searchsorted(xs, mid, side="right"),
+                      np.searchsorted(xs, mid, side="left"))
+    # adjacent doubles can round to one midpoint; keep every run length >= 0
+    runs = np.diff(np.maximum.accumulate(bounds), prepend=0, append=xs.size)
+    out = np.empty(xs.size, dtype=np.intp)
+    out[order] = np.repeat(labels, runs)
+    return out
+
+
+def _cluster_means(assign: np.ndarray, values: np.ndarray,
+                   counts: np.ndarray) -> np.ndarray:
+    """(c, d) per-cluster mean of each column of values, one bincount per
+    column; counts must be positive."""
+    sums = [np.bincount(assign, weights=col, minlength=counts.size)
+            for col in values.T]
+    return np.stack(sums, axis=1) / counts[:, None]
 
 
 def _repair_empty(pts, assign, centroids, c):
@@ -102,29 +158,33 @@ def kmeans(points, c: int, seed: int,
         raise DataError(f"cluster count {c} exceeds point count {m}")
     if not np.all(np.isfinite(pts)):
         raise DataError("points contain non-finite values")
+    if max_iter < 1:
+        raise DataError("max_iter must be >= 1")
+
+    if d == 1:
+        order = np.argsort(pts[:, 0], kind="stable")
+        nearest = functools.partial(_assign_sorted, pts[order, 0], order)
+    else:
+        nearest = functools.partial(_assign_dense, pts)
 
     centroids = _init_plus_plus(pts, c, seed)
-    assign = np.full(m, -1, dtype=np.int64)
+    assign = np.full(m, -1, dtype=np.intp)
     prev_obj = np.inf
-    obj = np.inf
-    it = 0
     for it in range(1, max_iter + 1):
-        new_assign = _assign(pts, centroids)
-        new_assign = _repair_empty(pts, new_assign, centroids, c)
+        new_assign = _repair_empty(pts, nearest(centroids), centroids, c)
         stable = np.array_equal(new_assign, assign)
         assign = new_assign
-        for k in range(c):
-            centroids[k] = pts[assign == k].mean(axis=0)
-        obj = float(np.sum((pts - centroids[assign]) ** 2))
+        counts = np.bincount(assign, minlength=c)
+        centroids = _cluster_means(assign, pts, counts)
+        sq_resid = pts - centroids[assign]
+        sq_resid *= sq_resid
+        obj = float(np.sum(sq_resid))
         assert obj <= prev_obj * (1.0 + 1e-12) + 1e-300
         if stable or (np.isfinite(prev_obj) and prev_obj - obj <= rel_tol * prev_obj):
             break
         prev_obj = obj
 
-    variances = np.zeros((c, d), dtype=np.float64)
-    for k in range(c):
-        members = pts[assign == k]
-        variances[k] = np.mean((members - centroids[k]) ** 2, axis=0)
+    variances = _cluster_means(assign, sq_resid, counts)
     return ClusterResult(centroids, variances, assign, obj, it)
 
 

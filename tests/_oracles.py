@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's own code paths: clustering by
-exhaustive assignment enumeration, neighbors by a full cosine table.
+exhaustive assignment enumeration, nearest centroids by explicit
+differences, neighbors by a full cosine table.
 """
 
 import numpy as np
@@ -23,6 +24,14 @@ def brute_force_kmeans_objective(points, c: int) -> float:
     total_sq = np.sum(pts**2)
     objs = total_sq - np.sum(counts * np.sum(means**2, axis=2), axis=1)
     return float(objs.min())
+
+
+def brute_force_nearest(points, centroids):
+    """Index of the nearest centroid to each point by squared Euclidean
+    distance from explicit differences; ties go to the lowest index."""
+    pts = np.asarray(points, dtype=np.float64)
+    d2 = ((pts[:, None, :] - np.asarray(centroids)[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
 
 
 def brute_force_topk_cosine(values, k: int) -> list[set]:

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpq
 from gpq import (EmbeddingMatrix, PartitionKind, PartitionScheme,
                  ReconstructMode, codec, embio, gpq_compress, load_raw,
                  quantizer, reconstruct)
 from gpq.cli import main
+from gpq.kmeans import _CHUNK_ROWS
 
 
 @pytest.fixture
@@ -143,6 +149,26 @@ def test_exit_code_data_error(tmp_path, capsys, w2v_file):
     assert err.startswith("error: data:")
 
 
+def test_exit_code_data_error_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.w2v"
+    bad.write_bytes(b"1 2\n\xff\xfe 0.5 1\n")
+    code, _, err = run(capsys, "compress", "--input", str(bad),
+                       "-g", "1", "-c", "1", "-o", str(tmp_path / "x"))
+    assert code == 3
+    assert err.startswith("error: data:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+def test_seed_outside_64_bits_is_usage_error(tmp_path, capsys, w2v_file, seed):
+    src, _ = w2v_file
+    out = tmp_path / "x.gpqe"
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", "--input", str(src), "-g", "4", "-c", "3",
+              "--seed", seed, "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_exit_code_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.gpqe"
     bad.write_bytes(b"not a container")
@@ -164,3 +190,23 @@ def test_compress_deterministic(tmp_path, capsys, w2v_file):
     assert run(capsys, *args, "-o", str(a))[0] == 0
     assert run(capsys, *args, "-o", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_compress_bytes_independent_of_blas_threads(tmp_path):
+    # 40000 rows x 4 groups = 160000 stacked 2-D points: several dense blocks
+    rows, cols, groups = 40000, 8, 4
+    assert rows * groups > _CHUNK_ROWS
+    src = tmp_path / "in.raw"
+    src.write_bytes(np.random.default_rng(5).normal(size=(rows, cols)).astype("<f4").tobytes())
+    pythonpath = [str(Path(gpq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    containers = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.gpqe"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        subprocess.run([sys.executable, "-m", "gpq.cli", "compress", "--input", str(src),
+                        "--format", "raw", "--rows", str(rows), "--cols", str(cols),
+                        "-g", str(groups), "-c", "16", "--seed", "1", "-o", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        containers.append(out.read_bytes())
+    assert containers[0] == containers[1]

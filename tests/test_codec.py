@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import zlib
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpq import FormatError, PartitionKind, PartitionScheme, QuantizedEmbedding
+from gpq import DataError, FormatError, PartitionKind, PartitionScheme, QuantizedEmbedding
 from gpq.codec import HEADER_SIZE, decode, encode, pack_indices, payload_length, unpack_indices
 from gpq.quantizer import index_bit_width, size_report
 
@@ -121,6 +122,14 @@ class TestContainer:
         assert back.seed == q.seed
         assert back.scheme == q.scheme
         assert np.array_equal(back.codebook_vars, q.codebook_vars)
+        top = dataclasses.replace(q, seed=2**64 - 1)
+        assert decode(encode(top)).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_header_range_rejected(self, seed):
+        q = random_quantized(np.random.default_rng(9))
+        with pytest.raises(DataError, match="seed"):
+            encode(dataclasses.replace(q, seed=seed))
 
     def test_encoding_deterministic(self):
         rng = np.random.default_rng(8)

@@ -51,6 +51,11 @@ class TestWord2vecLoad:
         with pytest.raises(DataError):
             load_word2vec_text(w2v_bytes(header + "\n"))
 
+    @pytest.mark.parametrize("data", [b"2 1\na 0.5\n\xff\xfe 1\n", b"\xff\xfe 1\nx 0.5\n"])
+    def test_not_utf8(self, data):
+        with pytest.raises(DataError):
+            load_word2vec_text(io.BytesIO(data))
+
 
 class TestRaw:
     def test_basic(self):

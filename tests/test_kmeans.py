@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gpq import DataError, kmeans, kmeans_best_of
+from gpq.kmeans import _CHUNK_ROWS, _assign_dense, _assign_sorted
 
-from _oracles import brute_force_kmeans_objective
+from _oracles import brute_force_kmeans_objective, brute_force_nearest
 
 
 def check_result_invariants(pts, res, c):
@@ -99,7 +100,8 @@ def test_best_of_never_worse():
     assert eight.objective <= one.objective
 
 
-@pytest.mark.parametrize("m,d,c,seed", [(6, 1, 2, 0), (8, 2, 3, 1), (7, 2, 2, 2), (5, 1, 3, 3)])
+@pytest.mark.parametrize("m,d,c,seed", [(6, 1, 2, 0), (8, 2, 3, 1), (7, 2, 2, 2), (5, 1, 3, 3),
+                                        (8, 1, 4, 4)])
 def test_matches_enumeration_optimum(m, d, c, seed):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(m, d))
@@ -120,7 +122,56 @@ def test_more_clusters_than_distinct_points():
     lambda: kmeans(np.zeros((2, 1)), 0, seed=0),
     lambda: kmeans(np.array([[np.inf]]), 1, seed=0),
     lambda: kmeans_best_of(np.zeros((2, 1)), 1, seed=0, restarts=0),
+    lambda: kmeans(np.zeros((2, 1)), 1, seed=0, max_iter=0),
 ])
 def test_errors(bad):
     with pytest.raises(DataError):
         bad()
+
+
+def sorted_nearest(pts, centroids):
+    order = np.argsort(pts[:, 0], kind="stable")
+    return _assign_sorted(pts[order, 0], order, centroids)
+
+
+@pytest.mark.parametrize("pts,centroids", [
+    # c = 1
+    ([[-3.0], [0.0], [7.5]], [[2.0]]),
+    # duplicate centroids: all their points go to the lowest index
+    ([[0.0], [1.0], [2.0], [3.0], [4.0]], [[3.0], [1.0], [3.0], [1.0]]),
+    # points on midpoints, lower-indexed neighbour above and below
+    ([[1.0], [3.0], [0.0], [2.0], [4.0]], [[2.0], [0.0], [4.0]]),
+])
+def test_sorted_assignment_cases(pts, centroids):
+    pts, centroids = np.array(pts), np.array(centroids)
+    assert np.array_equal(sorted_nearest(pts, centroids),
+                          brute_force_nearest(pts, centroids))
+
+
+@pytest.mark.parametrize("trial", range(30))
+def test_sorted_assignment_matches_brute_force(trial):
+    rng = np.random.default_rng(trial)
+    m, c = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+    if trial % 2:
+        pts, centroids = rng.normal(size=(m, 1)), rng.normal(size=(c, 1))
+    else:
+        # small integers and halves: duplicate centroids, exact midpoints
+        pts = rng.integers(-8, 9, size=(m, 1)) / 2.0
+        centroids = rng.integers(-3, 4, size=(c, 1)).astype(np.float64)
+    assert np.array_equal(sorted_nearest(pts, centroids),
+                          brute_force_nearest(pts, centroids))
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_dense_assignment_chunks_match_one_argmin(ties):
+    rng = np.random.default_rng(8)
+    m = _CHUNK_ROWS + 1234
+    if ties:
+        pts = rng.integers(-2, 3, size=(m, 2)).astype(np.float64)
+        centroids = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-1.0, 1.0]])
+    else:
+        pts, centroids = rng.normal(size=(m, 2)), rng.normal(size=(9, 2))
+    unchunked = np.argmin(np.sum(centroids**2, axis=1) - 2.0 * pts @ centroids.T, axis=1)
+    assert np.array_equal(_assign_dense(pts, centroids), unchunked)
+    if ties:
+        assert np.array_equal(unchunked, brute_force_nearest(pts, centroids))
