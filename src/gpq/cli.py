@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--format", choices=["w2v", "raw"], default="raw")
-    p.add_argument("--vocab", help="token file for w2v output when the container has no vocab")
+    p.add_argument("--vocab", help="token file for w2v output")
     p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser("info", help="print container header and size report")

@@ -79,6 +79,8 @@ def decode(data: bytes) -> QuantizedEmbedding:
         raise FormatError(f"unsupported version {version}")
     if f_p != 32:
         raise FormatError(f"unsupported float width {f_p}")
+    if rows < 1 or cols < 1:
+        raise FormatError(f"empty matrix: rows={rows} cols={cols}")
     if clusters < 1:
         raise FormatError("cluster count must be >= 1")
     if groups < 1 or cols % groups != 0:

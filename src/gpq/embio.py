@@ -79,7 +79,9 @@ def load_word2vec_text(source: BinaryIO) -> EmbeddingMatrix:
     if count < 1 or dim < 1:
         raise DataError(f"malformed header: rows={count} cols={dim}")
 
-    values = np.empty((count, dim), dtype=np.float32)
+    # rows are kept as they arrive: a header claiming more rows than the
+    # file holds must fail as a row count mismatch, not size an allocation
+    rows: list[np.ndarray] = []
     vocab: list[str] = []
     seen: set[str] = set()
     try:
@@ -102,10 +104,10 @@ def load_word2vec_text(source: BinaryIO) -> EmbeddingMatrix:
                 raise DataError(f"unparseable value at row {i}") from None
             if not np.all(np.isfinite(row)):
                 raise DataError(f"non-finite value at row {i}")
-            values[i] = row
+            rows.append(row)
     except UnicodeDecodeError:
         raise DataError(f"row {i} is not UTF-8 text") from None
-    return EmbeddingMatrix(values, vocab)
+    return EmbeddingMatrix(np.stack(rows), vocab)
 
 
 def save_word2vec_text(e: EmbeddingMatrix, dest: BinaryIO) -> None:

@@ -11,6 +11,8 @@ from .embio import EmbeddingMatrix
 from .errors import DataError
 from .quantizer import SizeReport
 
+_BLOCK_BYTES = 1 << 24  # bytes of float64 similarities per block of rows
+
 
 @dataclass(frozen=True)
 class FidelityReport:
@@ -33,16 +35,39 @@ class FidelityReport:
 
 
 def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
-    """Row indices of the k most cosine-similar other rows, per row.
-    Ties resolve to the lower row index (stable sort)."""
+    """Row indices of the k most cosine-similar other rows, per row, most
+    similar first. Ties resolve to the lower row index.
+
+    Rows are scored in blocks of about _BLOCK_BYTES of float64
+    similarities (at least one row), so no temporary grows with V^2.
+    argpartition picks k candidates per row; a row with more than k
+    similarities at or above its k-th value has a tie the partition may
+    have cut arbitrarily, and only such rows are re-ranked by a stable
+    argsort.
+    """
     x = values.astype(np.float64)
     norms = np.linalg.norm(x, axis=1)
     norms[norms == 0.0] = 1.0
     unit = x / norms[:, None]
-    cos = unit @ unit.T
-    np.fill_diagonal(cos, -np.inf)
-    order = np.argsort(-cos, axis=1, kind="stable")
-    return order[:, :k]
+    v = unit.shape[0]
+    step = max(1, _BLOCK_BYTES // (8 * v))
+    out = np.empty((v, k), dtype=np.intp)
+    for lo in range(0, v, step):
+        # -cos, exactly, so ascending order is most similar first. The
+        # negated block is a new array, so numpy never takes its syrk path
+        # for an array times its own transpose: syrk does not round every
+        # entry alike, and duplicate rows would stop tying.
+        neg = (-unit[lo:lo + step]) @ unit.T
+        np.fill_diagonal(neg[:, lo:], np.inf)  # never one's own neighbour
+        pick = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(neg, pick[:, k - 1:], axis=1)
+        tied = np.count_nonzero(neg <= kth, axis=1) > k
+        if tied.any():
+            pick[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+        score = np.take_along_axis(neg, pick, axis=1)
+        order = np.lexsort((pick, score), axis=1)
+        out[lo:lo + step] = np.take_along_axis(pick, order, axis=1)
+    return out
 
 
 def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int,
@@ -66,7 +91,9 @@ def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int,
 
     nn_a = _topk_neighbors(e.values, k)
     nn_b = _topk_neighbors(r.values, k)
-    overlap = np.mean([
-        len(set(nn_a[i]) & set(nn_b[i])) / k for i in range(e.rows)
-    ])
+    # each row lists k distinct indices, so a shared index is an adjacent
+    # equal pair once both lists are sorted together
+    both = np.sort(np.concatenate((nn_a, nn_b), axis=1), axis=1)
+    shared = np.count_nonzero(both[:, 1:] == both[:, :-1], axis=1)
+    overlap = np.mean(shared / k)
     return FidelityReport(rmse, mean_cosine, float(overlap), k, size)

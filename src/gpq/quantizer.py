@@ -67,7 +67,6 @@ class QuantizedEmbedding:
     codebook_means: np.ndarray         # (blocks, c, n/g) float32
     codebook_vars: np.ndarray | None   # same shape, float32, or None
     seed: int
-    vocab: list[str] | None = None
 
     def __post_init__(self):
         g = self.scheme.groups
@@ -105,8 +104,7 @@ class QuantizedEmbedding:
                 and np.array_equal(self.index_matrix, other.index_matrix)
                 and np.array_equal(self.codebook_means, other.codebook_means)
                 and (self.codebook_vars is None
-                     or np.array_equal(self.codebook_vars, other.codebook_vars))
-                and self.vocab == other.vocab)
+                     or np.array_equal(self.codebook_vars, other.codebook_vars)))
 
 
 @dataclass(frozen=True)
@@ -191,8 +189,7 @@ def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
         means = res.centroids.astype(np.float32)[None, :, :]
         vars_ = res.variances.astype(np.float32)[None, :, :] if with_vars else None
 
-    return QuantizedEmbedding(scheme, e.rows, e.cols, c, index, means, vars_,
-                              seed, e.vocab)
+    return QuantizedEmbedding(scheme, e.rows, e.cols, c, index, means, vars_, seed)
 
 
 def pq_compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int,
@@ -232,7 +229,7 @@ def reconstruct(q: QuantizedEmbedding, mode: ReconstructMode = ReconstructMode.M
     for i in range(g):
         block = book[i] if q.scheme.kind is PartitionKind.STRUCTURED else book[0]
         out[:, i * sub:(i + 1) * sub] = block[q.index_matrix[:, i]]
-    return EmbeddingMatrix(out, q.vocab)
+    return EmbeddingMatrix(out)
 
 
 def compute_size_report(rows: int, cols: int, scheme: PartitionScheme,

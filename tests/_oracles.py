@@ -34,8 +34,9 @@ def brute_force_nearest(points, centroids):
     return np.argmin(d2, axis=1)
 
 
-def brute_force_topk_cosine(values, k: int) -> list[set]:
-    """Top-k cosine neighbors per row, self excluded, ties to lower index."""
+def brute_force_topk_cosine(values, k: int) -> list[list[int]]:
+    """Top-k cosine neighbors per row, most similar first, self excluded,
+    ties to lower index."""
     x = np.asarray(values, dtype=np.float64)
     out = []
     for i in range(len(x)):
@@ -46,5 +47,5 @@ def brute_force_topk_cosine(values, k: int) -> list[set]:
             denom = np.linalg.norm(x[i]) * np.linalg.norm(x[j])
             sims.append((-(x[i] @ x[j]) / (denom if denom else 1.0), j))
         sims.sort()
-        out.append({j for _, j in sims[:k]})
+        out.append([j for _, j in sims[:k]])
     return out

@@ -158,6 +158,15 @@ def test_exit_code_data_error_not_utf8(tmp_path, capsys):
     assert err.startswith("error: data:") and err.count("\n") == 1
 
 
+def test_exit_code_data_error_header_larger_than_file(tmp_path, capsys):
+    bad = tmp_path / "huge.w2v"
+    bad.write_bytes(b"100000000000 100000\n")
+    code, _, err = run(capsys, "compress", "--input", str(bad),
+                       "-g", "1", "-c", "1", "-o", str(tmp_path / "x"))
+    assert code == 3
+    assert err.startswith("error: data:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
 def test_seed_outside_64_bits_is_usage_error(tmp_path, capsys, w2v_file, seed):
     src, _ = w2v_file

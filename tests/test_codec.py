@@ -115,6 +115,16 @@ class TestContainer:
         with pytest.raises(FormatError, match="out of range"):
             decode(data)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0)])
+    def test_empty_matrix_rejected(self, rows, cols):
+        # unified, g=1, c=2 (1-bit indices), with a valid CRC
+        means = np.zeros((1, 2, cols), dtype=np.float32)
+        header = struct.pack("<4sBBQIIIBQ", b"GPQE", 1, 0x02, rows, cols, 1, 2, 32, 0)
+        body = header + means.tobytes() + pack_indices(np.zeros(rows, dtype=np.uint32), 1)
+        data = body + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(FormatError, match="empty matrix"):
+            decode(data)
+
     def test_round_trip_preserves_seed_and_flags(self):
         rng = np.random.default_rng(7)
         q = random_quantized(rng, with_vars=True)

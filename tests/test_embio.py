@@ -34,6 +34,10 @@ class TestWord2vecLoad:
         with pytest.raises(DataError, match="row count mismatch"):
             load_word2vec_text(w2v_bytes("3 2\na 1 2\nb 3 4\n"))
 
+    def test_header_larger_than_file(self):
+        with pytest.raises(DataError, match="row count mismatch"):
+            load_word2vec_text(w2v_bytes("100000000000 100000\n"))
+
     def test_dim_mismatch(self):
         with pytest.raises(DataError, match="dim mismatch"):
             load_word2vec_text(w2v_bytes("1 3\na 1 2\n"))

@@ -110,6 +110,13 @@ class TestCompress:
         # unified can use up to g*|V| clusters
         pq_compress(four_by_four, PartitionScheme(UNIFIED, 2), 8, seed=0)
 
+    @pytest.mark.parametrize("fn", [pq_compress, gpq_compress])
+    def test_container_round_trip_with_vocab(self, fn):
+        rng = np.random.default_rng(9)
+        e = emb(rng.normal(size=(6, 4)), ["a", "b", "c", "d", "e", "f"])
+        q = fn(e, PartitionScheme(UNIFIED, 2), 3, seed=1)
+        assert codec.decode(codec.encode(q)) == q
+
 
 class TestReconstruct:
     def test_error_equals_clustering_objective(self):
