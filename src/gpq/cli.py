@@ -38,8 +38,11 @@ def _save_embedding(e, path: str, fmt: str, vocab_path: str | None):
     if fmt == "w2v" and e.vocab is None:
         if vocab_path is None:
             raise DataError("w2v output requires a vocabulary (--vocab)")
-        with open(vocab_path, "r", encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f if line.strip()]
+        try:
+            with open(vocab_path, "r", encoding="utf-8") as f:
+                tokens = [line.rstrip("\n") for line in f if line.strip()]
+        except UnicodeDecodeError:
+            raise DataError(f"vocabulary {vocab_path} is not UTF-8 text") from None
         e = embio.EmbeddingMatrix(e.values, tokens)
     with open(path, "wb") as f:
         if fmt == "w2v":
@@ -77,14 +80,15 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _scheme(args) -> PartitionScheme:
-    return PartitionScheme(PartitionKind(args.scheme), args.groups)
+def _quantize(e, method: str, scheme: PartitionScheme, c: int, seed: int, restarts: int):
+    compress = quantizer.gpq_compress if method == "gpq" else quantizer.pq_compress
+    return compress(e, scheme, c, seed, restarts)
 
 
 def cmd_compress(args) -> int:
     e = _load_embedding(args.input, args.format, args.rows, args.cols)
-    fn = quantizer.gpq_compress if args.method == "gpq" else quantizer.pq_compress
-    q = fn(e, _scheme(args), args.clusters, args.seed, args.restarts)
+    q = _quantize(e, args.method, PartitionScheme(PartitionKind(args.scheme), args.groups),
+                  args.clusters, args.seed, args.restarts)
     data = codec.encode(q)
     with open(args.output, "wb") as f:
         f.write(data)
@@ -160,12 +164,10 @@ def cmd_compare(args) -> int:
 
 
 def _sweep_one(e, method, scheme_kind, g, c, seed, restarts, k):
-    scheme = PartitionScheme(scheme_kind, g)
-    fn = quantizer.gpq_compress if method == "gpq" else quantizer.pq_compress
-    q = fn(e, scheme, c, seed, restarts)
-    recon = quantizer.reconstruct(q)
-    rep = metrics.fidelity(e, recon, k, quantizer.size_report(q))
-    return {"groups": g, "clusters": c, **rep.to_dict()}
+    q = _quantize(e, method, PartitionScheme(scheme_kind, g), c, seed, restarts)
+    rep = metrics.fidelity(e, quantizer.reconstruct(q), k)
+    return {"groups": g, "clusters": c, **rep.to_dict(),
+            "size": quantizer.size_report(q).to_dict()}
 
 
 def cmd_sweep(args) -> int:
@@ -190,6 +192,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exits 2."""
+
+    def error(self, message):
+        line = " ".join(message.splitlines())
+        self.exit(EXIT_USAGE, f"error: usage: {self.prog}: {line}\n")
+
+
 def _add_embedding_input(p, name="--input"):
     p.add_argument(name, required=True)
     p.add_argument("--format", choices=["w2v", "raw"], default="w2v")
@@ -198,8 +208,8 @@ def _add_embedding_input(p, name="--input"):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gpq",
-                                     description="Embedding compression with (Gaussian) product quantization")
+    parser = _Parser(prog="gpq",
+                     description="Embedding compression with (Gaussian) product quantization")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compress", help="quantize an embedding file into a GPQE container")

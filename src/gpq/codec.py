@@ -90,7 +90,7 @@ def decode(data: bytes) -> QuantizedEmbedding:
     kind = PartitionKind.UNIFIED if flags & _FLAG_UNIFIED else PartitionKind.STRUCTURED
     scheme = PartitionScheme(kind, groups)
     sub = cols // groups
-    blocks = groups if kind is PartitionKind.STRUCTURED else 1
+    blocks = scheme.blocks
 
     book_bytes = blocks * clusters * sub * 4
     index_bytes = ((rows * groups * index_bit_width(clusters)) + 7) // 8

@@ -107,6 +107,10 @@ def load_word2vec_text(source: BinaryIO) -> EmbeddingMatrix:
             rows.append(row)
     except UnicodeDecodeError:
         raise DataError(f"row {i} is not UTF-8 text") from None
+    # trailing blank lines are fine; a row beyond the header's count is not
+    while line := source.readline():
+        if line.decode("utf-8", errors="replace").strip():
+            raise DataError(f"row count mismatch: expected {count} rows, got more")
     return EmbeddingMatrix(np.stack(rows), vocab)
 
 

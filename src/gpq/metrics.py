@@ -9,7 +9,6 @@ import numpy as np
 
 from .embio import EmbeddingMatrix
 from .errors import DataError
-from .quantizer import SizeReport
 
 _BLOCK_BYTES = 1 << 24  # bytes of float64 similarities per block of rows
 
@@ -20,18 +19,14 @@ class FidelityReport:
     mean_cosine: float
     nn_overlap_at_k: float
     k: int
-    size: SizeReport | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "rmse": self.rmse,
             "mean_cosine": self.mean_cosine,
             "nn_overlap_at_k": self.nn_overlap_at_k,
             "k": self.k,
         }
-        if self.size is not None:
-            d["size"] = self.size.to_dict()
-        return d
 
 
 def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
@@ -70,8 +65,7 @@ def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int,
-             size: SizeReport | None = None) -> FidelityReport:
+def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int) -> FidelityReport:
     """Compare a reconstruction r against the original e."""
     if e.values.shape != r.values.shape:
         raise DataError(
@@ -96,4 +90,4 @@ def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int,
     both = np.sort(np.concatenate((nn_a, nn_b), axis=1), axis=1)
     shared = np.count_nonzero(both[:, 1:] == both[:, :-1], axis=1)
     overlap = np.mean(shared / k)
-    return FidelityReport(rmse, mean_cosine, float(overlap), k, size)
+    return FidelityReport(rmse, mean_cosine, float(overlap), k)

@@ -43,6 +43,12 @@ class PartitionScheme:
         if self.groups < 1:
             raise DataError("group count must be >= 1")
 
+    @property
+    def blocks(self) -> int:
+        """Number of codebooks: one per group if structured, one shared
+        by all groups if unified. Group i reads codebook i // (groups // blocks)."""
+        return self.groups if self.kind is PartitionKind.STRUCTURED else 1
+
     def check_divides(self, cols: int) -> None:
         if cols % self.groups != 0:
             raise DataError(
@@ -53,10 +59,10 @@ class PartitionScheme:
 class QuantizedEmbedding:
     """Index matrix plus codebook(s); the compressed form of a matrix.
 
-    codebook_means has shape (blocks, c, n/g) with blocks = g for
-    structured and 1 for unified partitioning. codebook_vars, when
-    present, is shape-identical and carries per-dimension intra-cluster
-    variances.
+    codebook_means has shape (blocks, c, n/g), with blocks and the
+    codebook each group reads given by PartitionScheme.blocks.
+    codebook_vars, when present, is shape-identical and carries
+    per-dimension intra-cluster variances.
     """
 
     scheme: PartitionScheme
@@ -72,7 +78,7 @@ class QuantizedEmbedding:
         g = self.scheme.groups
         self.scheme.check_divides(self.cols)
         sub = self.cols // g
-        blocks = g if self.scheme.kind is PartitionKind.STRUCTURED else 1
+        blocks = self.scheme.blocks
         if self.index_matrix.shape != (self.rows, g):
             raise DataError(f"index matrix shape {self.index_matrix.shape} != ({self.rows}, {g})")
         if self.index_matrix.size and int(self.index_matrix.max()) >= self.clusters:
@@ -89,9 +95,7 @@ class QuantizedEmbedding:
     @property
     def total_clusters(self) -> int:
         """Number of Gaussians/centroids overall: c*g structured, c unified."""
-        if self.scheme.kind is PartitionKind.STRUCTURED:
-            return self.clusters * self.scheme.groups
-        return self.clusters
+        return self.clusters * self.scheme.blocks
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantizedEmbedding):
@@ -165,30 +169,23 @@ def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
     if c < 1:
         raise DataError("cluster count must be >= 1")
     scheme.check_divides(e.cols)
-    g = scheme.groups
-    sub = e.cols // g
+    g, blocks = scheme.groups, scheme.blocks
+    per = g // blocks  # groups stacked row-wise into each block
+    if c > per * e.rows:
+        raise DataError(f"cluster count {c} exceeds {per * e.rows} sub-vectors per codebook")
     index = np.empty((e.rows, g), dtype=np.uint32)
+    means = np.empty((blocks, c, e.cols // g), dtype=np.float32)
+    vars_ = np.empty_like(means) if with_vars else None
 
-    if scheme.kind is PartitionKind.STRUCTURED:
-        if c > e.rows:
-            raise DataError(f"cluster count {c} exceeds {e.rows} sub-vectors per group")
-        means = np.empty((g, c, sub), dtype=np.float32)
-        vars_ = np.empty((g, c, sub), dtype=np.float32) if with_vars else None
-        for i, block in enumerate(partition(e, scheme)):
-            res = kmeans_best_of(block, c, derive_seed(seed, i), restarts)
-            index[:, i] = res.assignments
-            means[i] = res.centroids.astype(np.float32)
-            if with_vars:
-                vars_[i] = res.variances.astype(np.float32)
-    else:
-        if c > g * e.rows:
-            raise DataError(f"cluster count {c} exceeds {g * e.rows} stacked sub-vectors")
-        stacked = partition(e, scheme)
-        res = kmeans_best_of(stacked, c, derive_seed(seed, 0), restarts)
-        index[:] = res.assignments.reshape(g, e.rows).T
-        means = res.centroids.astype(np.float32)[None, :, :]
-        vars_ = res.variances.astype(np.float32)[None, :, :] if with_vars else None
-
+    parts = partition(e, scheme)
+    if scheme.kind is PartitionKind.UNIFIED:
+        parts = [parts]
+    for b, block in enumerate(parts):
+        res = kmeans_best_of(block, c, derive_seed(seed, b), restarts)
+        index[:, b * per:(b + 1) * per] = res.assignments.reshape(per, e.rows).T
+        means[b] = res.centroids
+        if with_vars:
+            vars_[b] = res.variances
     return QuantizedEmbedding(scheme, e.rows, e.cols, c, index, means, vars_, seed)
 
 
@@ -224,12 +221,8 @@ def reconstruct(q: QuantizedEmbedding, mode: ReconstructMode = ReconstructMode.M
         book = q.codebook_means
 
     g = q.scheme.groups
-    sub = q.cols // g
-    out = np.empty((q.rows, q.cols), dtype=np.float32)
-    for i in range(g):
-        block = book[i] if q.scheme.kind is PartitionKind.STRUCTURED else book[0]
-        out[:, i * sub:(i + 1) * sub] = block[q.index_matrix[:, i]]
-    return EmbeddingMatrix(out)
+    codebook_of_group = np.arange(g) // (g // q.scheme.blocks)
+    return EmbeddingMatrix(book[codebook_of_group, q.index_matrix].reshape(q.rows, q.cols))
 
 
 def compute_size_report(rows: int, cols: int, scheme: PartitionScheme,
@@ -237,8 +230,7 @@ def compute_size_report(rows: int, cols: int, scheme: PartitionScheme,
     """Size accounting from parameters alone (no codebook needed)."""
     scheme.check_divides(cols)
     g = scheme.groups
-    sub = cols // g
-    mean_params = clusters * cols if scheme.kind is PartitionKind.STRUCTURED else clusters * sub
+    mean_params = clusters * (cols // g) * scheme.blocks
     float_params = 2 * mean_params if has_vars else mean_params
     int_params = rows * g
 

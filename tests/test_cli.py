@@ -167,6 +167,28 @@ def test_exit_code_data_error_header_larger_than_file(tmp_path, capsys):
     assert err.startswith("error: data:") and err.count("\n") == 1
 
 
+def test_exit_code_data_error_rows_beyond_header(tmp_path, capsys):
+    bad = tmp_path / "long.w2v"
+    bad.write_bytes(b"1 2\na 1 2\nb 3 4\nnot even numbers\n")
+    code, _, err = run(capsys, "compress", "--input", str(bad),
+                       "-g", "1", "-c", "1", "-o", str(tmp_path / "x"))
+    assert code == 3
+    assert err == "error: data: row count mismatch: expected 1 rows, got more\n"
+
+
+def test_exit_code_data_error_vocab_not_utf8(tmp_path, capsys):
+    container, vocab = tmp_path / "c.gpqe", tmp_path / "vocab.txt"
+    rng = np.random.default_rng(0)
+    e = EmbeddingMatrix(rng.normal(size=(4, 2)).astype(np.float32))
+    container.write_bytes(codec.encode(gpq_compress(e, PartitionScheme(PartitionKind.UNIFIED, 1),
+                                                    2, seed=0)))
+    vocab.write_bytes(b"a\n\xff\xfe\nc\nd\n")
+    code, _, err = run(capsys, "decompress", "--input", str(container), "--format", "w2v",
+                       "--vocab", str(vocab), "-o", str(tmp_path / "out.w2v"))
+    assert code == 3
+    assert err.startswith("error: data: vocabulary") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
 def test_seed_outside_64_bits_is_usage_error(tmp_path, capsys, w2v_file, seed):
     src, _ = w2v_file
@@ -176,6 +198,9 @@ def test_seed_outside_64_bits_is_usage_error(tmp_path, capsys, w2v_file, seed):
               "--seed", seed, "-o", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage: gpq compress: argument --seed")
+    assert err.count("\n") == 1
 
 
 def test_exit_code_format_error(tmp_path, capsys):
@@ -187,9 +212,14 @@ def test_exit_code_format_error(tmp_path, capsys):
 
 
 def test_exit_code_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["compress"])  # missing required flags
-    assert exc.value.code == 2
+    # missing flags, no subcommand, unknown subcommand, stray newline token
+    for argv in (["compress"], [], ["nope"], ["info", "--input", "x", "a\nb"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: usage: gpq") and out.err.count("\n") == 1
 
 
 def test_compress_deterministic(tmp_path, capsys, w2v_file):

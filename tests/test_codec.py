@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 import zlib
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpq import DataError, FormatError, PartitionKind, PartitionScheme, QuantizedEmbedding
+from gpq import (DataError, FormatError, PartitionKind, PartitionScheme, QuantizedEmbedding,
+                 ReconstructMode, RweConfig, gpq_compress, pq_compress, reconstruct,
+                 rwe_generate)
 from gpq.codec import HEADER_SIZE, decode, encode, pack_indices, payload_length, unpack_indices
 from gpq.quantizer import index_bit_width, size_report
 
@@ -22,12 +25,13 @@ def random_quantized(rng, rows=None, cols=None, c=None, kind=None, with_vars=Non
     c = c or int(rng.integers(1, 10))
     kind = kind if kind is not None else rng.choice(list(PartitionKind))
     with_vars = bool(rng.integers(0, 2)) if with_vars is None else with_vars
-    blocks = g if kind is PartitionKind.STRUCTURED else 1
+    scheme = PartitionScheme(kind, g)
     sub = cols // g
-    means = rng.normal(size=(blocks, c, sub)).astype(np.float32)
-    vars_ = np.abs(rng.normal(size=(blocks, c, sub))).astype(np.float32) if with_vars else None
+    means = rng.normal(size=(scheme.blocks, c, sub)).astype(np.float32)
+    vars_ = (np.abs(rng.normal(size=(scheme.blocks, c, sub))).astype(np.float32)
+             if with_vars else None)
     index = rng.integers(0, c, size=(rows, g)).astype(np.uint32)
-    return QuantizedEmbedding(PartitionScheme(kind, g), rows, cols, c, index,
+    return QuantizedEmbedding(scheme, rows, cols, c, index,
                               means, vars_, int(rng.integers(0, 2**63)))
 
 
@@ -152,3 +156,44 @@ class TestContainer:
         rng = np.random.default_rng(seed)
         q = random_quantized(rng)
         assert decode(encode(q)) == q
+
+
+def sha256(data) -> str:
+    return hashlib.sha256(bytes(data)).hexdigest()
+
+
+# SHA-256 of the container and of the mean- and sample-mode reconstructions
+# for a fixed RWE input; any change to clustering, layout or lookup shows here.
+PINNED = {
+    ("pq", "structured"): (
+        "b65fff6fd27a2ec354e355df4642662c418d2757efc742974d18f1aa9864013b",
+        "1f377207414f122b70c802bb4f05325dd305776df50c7e17a730ff17ea2f4625",
+        None),
+    ("pq", "unified"): (
+        "e7530f06becaf475c940336ce8d05b6a1787aa6a06dba9e59fd8a1be58e52d2e",
+        "11223b7a67b05c19eba779fccd39b3bdde851a61e7cdd937e0444896da90b0b1",
+        None),
+    ("gpq", "structured"): (
+        "0c78747c8ed257cd416332d24202731999c23d667db66c02ceb101dcb4ea59c3",
+        "1f377207414f122b70c802bb4f05325dd305776df50c7e17a730ff17ea2f4625",
+        "e39fba1f714070649ef3526f01f7a4ea078a4133a74d342325df981997fd2da1"),
+    ("gpq", "unified"): (
+        "0f4184a31c8a98ae2bebbd90a22b41a52cb43b5974bd53cc3ef53b2bde4fc01e",
+        "11223b7a67b05c19eba779fccd39b3bdde851a61e7cdd937e0444896da90b0b1",
+        "b929521daed9e5633381682b2fe25eccdb5e5e3d67740103b54a44e9b041f1c8"),
+}
+
+
+@pytest.mark.parametrize("method, kind", sorted(PINNED))
+def test_pinned_bytes(method, kind):
+    e = rwe_generate(RweConfig(rows=48, cols=12, seed=11))
+    compress = gpq_compress if method == "gpq" else pq_compress
+    q = compress(e, PartitionScheme(PartitionKind(kind), 4), 6, seed=5, restarts=2)
+    mean = reconstruct(q, ReconstructMode.MEAN).values.astype("<f4")
+    got = [sha256(encode(q)), sha256(mean.tobytes())]
+    if q.codebook_vars is None:
+        got.append(None)
+    else:
+        sample = reconstruct(q, ReconstructMode.SAMPLE, seed=3).values.astype("<f4")
+        got.append(sha256(sample.tobytes()))
+    assert tuple(got) == PINNED[method, kind]

@@ -30,9 +30,15 @@ class TestWord2vecLoad:
         e = load_word2vec_text(w2v_bytes("1 2\r\nx 1 2\r\n"))
         assert np.array_equal(e.values, [[1, 2]])
 
+    def test_trailing_blank_lines(self):
+        e = load_word2vec_text(w2v_bytes("1 2\nx 1 2\n\n  \r\n\n"))
+        assert np.array_equal(e.values, [[1, 2]])
+
     def test_row_count_mismatch(self):
         with pytest.raises(DataError, match="row count mismatch"):
             load_word2vec_text(w2v_bytes("3 2\na 1 2\nb 3 4\n"))
+        with pytest.raises(DataError, match="row count mismatch"):
+            load_word2vec_text(w2v_bytes("1 2\na 1 2\nb 3 4\nnot even numbers\n"))
 
     def test_header_larger_than_file(self):
         with pytest.raises(DataError, match="row count mismatch"):
