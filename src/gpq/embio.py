@@ -99,7 +99,9 @@ def load_word2vec_text(source: BinaryIO) -> EmbeddingMatrix:
             seen.add(token)
             vocab.append(token)
             try:
-                row = np.array([float(f) for f in fields[1:]], dtype=np.float32)
+                # beyond binary32 range casts to inf, which the check below reports
+                with np.errstate(over="ignore"):
+                    row = np.array([float(f) for f in fields[1:]], dtype=np.float32)
             except ValueError:
                 raise DataError(f"unparseable value at row {i}") from None
             if not np.all(np.isfinite(row)):

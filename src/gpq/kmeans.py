@@ -23,6 +23,15 @@ points, so results stay a pure function of the five inputs above. The
 update is one statistics pass: per-cluster counts and sums by
 np.bincount, and one residual whose squares give the objective and, after
 the last iteration, the variances.
+
+Seeding keeps three m-long arrays: the content hashes, the squared
+distance d2 to the nearest chosen center, and one column-major copy of
+the points (a view when d == 1). Each of the c steps scores the keys over
+blocks of _CHUNK_ROWS points and takes the winner across blocks by strict
+<, so ties go to the lowest index as one argmin would; it then updates d2
+block by block, summing (column_j - center_j)^2 in coordinate order. That
+sequential sum equals numpy's row sum for d < 8; above, where numpy sums
+pairwise, the two may differ by an ulp.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from .rng import derive_seed, mix64, row_hashes
 
 DEFAULT_MAX_ITER = 100
 DEFAULT_REL_TOL = 1e-6
-_CHUNK_ROWS = 65536  # points per block of the dense assignment
+_CHUNK_ROWS = 65536  # points per block of seeding and of the dense assignment
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,23 @@ def _to_uniform_open(u64: np.ndarray) -> np.ndarray:
     return ((u64 >> np.uint64(11)).astype(np.float64) + 0.5) / 9007199254740992.0
 
 
+def _race(hashes: np.ndarray, salt: int,
+          d2: np.ndarray | None = None) -> tuple[int, float]:
+    """(index, key) of the smallest exponential-race key, scored over blocks
+    of _CHUNK_ROWS points; uniform keys when d2 is None."""
+    salt = np.uint64(salt)
+    best, best_key = 0, np.inf
+    for lo in range(0, hashes.size, _CHUNK_ROWS):
+        key = _to_uniform_open(mix64(hashes[lo:lo + _CHUNK_ROWS] ^ salt))
+        if d2 is not None:
+            with np.errstate(divide="ignore"):
+                key = -np.log1p(-key) / d2[lo:lo + _CHUNK_ROWS]
+        i = int(np.argmin(key))
+        if key[i] < best_key:  # strict: ties keep the lower block
+            best, best_key = lo + i, key[i]
+    return best, best_key
+
+
 def _init_plus_plus(pts: np.ndarray, c: int, seed: int) -> np.ndarray:
     """k-means++ seeding keyed by per-point content hashes.
 
@@ -63,34 +89,43 @@ def _init_plus_plus(pts: np.ndarray, c: int, seed: int) -> np.ndarray:
     content hash rather than its position, the multiset of chosen centers
     does not depend on input row order.
     """
-    m = pts.shape[0]
-    hashes = row_hashes(pts, seed)
-    centers = np.empty((c, pts.shape[1]), dtype=np.float64)
-    d2 = None
+    m, d = pts.shape
+    cols = np.ascontiguousarray(pts.T)  # (d, m); a view when d == 1
+    hashes = np.empty(m, dtype=np.uint64)
+    for lo in range(0, m, _CHUNK_ROWS):
+        hashes[lo:lo + _CHUNK_ROWS] = row_hashes(pts[lo:lo + _CHUNK_ROWS], seed)
+    d2 = np.full(m, np.inf)
+    centers = np.empty((c, d), dtype=np.float64)
     for step in range(c):
-        u = _to_uniform_open(mix64(hashes ^ np.uint64(derive_seed(seed, step))))
-        if step == 0:
-            key = u
-        else:
-            with np.errstate(divide="ignore"):
-                key = -np.log1p(-u) / d2
-            if not np.any(np.isfinite(key)):
-                # fewer distinct points than centers: fall back to uniform
-                key = u
-        idx = int(np.argmin(key))
+        salt = derive_seed(seed, step)
+        idx, key = _race(hashes, salt, d2 if step else None)
+        if not np.isfinite(key):
+            # fewer distinct points than centers: fall back to uniform
+            idx, _ = _race(hashes, salt)
         centers[step] = pts[idx]
-        nd2 = np.sum((pts - centers[step]) ** 2, axis=1)
-        d2 = nd2 if d2 is None else np.minimum(d2, nd2)
+        center = centers[step].tolist()
+        for lo in range(0, m, _CHUNK_ROWS):
+            block = cols[:, lo:lo + _CHUNK_ROWS]
+            nd2 = block[0] - center[0]
+            nd2 *= nd2
+            for j in range(1, d):
+                t = block[j] - center[j]
+                t *= t
+                nd2 += t
+            np.minimum(d2[lo:lo + _CHUNK_ROWS], nd2, out=d2[lo:lo + _CHUNK_ROWS])
     return centers
 
 
 def _assign_dense(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x||^2 term is constant per point; argmin ties resolve to lowest index
+    # ||x||^2 term is constant per point; argmin ties resolve to lowest index.
+    # Scaling by -2 is exact, so x.(-2c) + sq rounds as sq - 2 x.c does.
     sq = np.sum(centroids**2, axis=1)
+    neg2t = centroids.T * -2.0
+    buf = np.empty((min(pts.shape[0], _CHUNK_ROWS), centroids.shape[0]))
     out = np.empty(pts.shape[0], dtype=np.intp)
     for lo in range(0, pts.shape[0], _CHUNK_ROWS):
-        d2 = pts[lo:lo + _CHUNK_ROWS] @ centroids.T
-        d2 *= -2.0  # exact, so d2 + sq rounds as sq - 2 x.c does
+        block = pts[lo:lo + _CHUNK_ROWS]
+        d2 = np.matmul(block, neg2t, out=buf[:block.shape[0]])
         d2 += sq
         out[lo:lo + _CHUNK_ROWS] = np.argmin(d2, axis=1)
     return out

@@ -86,9 +86,13 @@ class QuantizedEmbedding:
         if self.codebook_means.shape != (blocks, self.clusters, sub):
             raise DataError(
                 f"codebook shape {self.codebook_means.shape} != ({blocks}, {self.clusters}, {sub})")
+        if not np.all(np.isfinite(self.codebook_means)):
+            raise DataError("non-finite mean in codebook")
         if self.codebook_vars is not None:
             if self.codebook_vars.shape != self.codebook_means.shape:
                 raise DataError("variance table shape differs from codebook")
+            if not np.all(np.isfinite(self.codebook_vars)):
+                raise DataError("non-finite variance in codebook")
             if np.any(self.codebook_vars < 0):
                 raise DataError("negative variance in codebook")
 
@@ -183,9 +187,12 @@ def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
     for b, block in enumerate(parts):
         res = kmeans_best_of(block, c, derive_seed(seed, b), restarts)
         index[:, b * per:(b + 1) * per] = res.assignments.reshape(per, e.rows).T
-        means[b] = res.centroids
-        if with_vars:
-            vars_[b] = res.variances
+        # a variance beyond binary32 range casts to inf, which
+        # QuantizedEmbedding rejects
+        with np.errstate(over="ignore"):
+            means[b] = res.centroids
+            if with_vars:
+                vars_[b] = res.variances
     return QuantizedEmbedding(scheme, e.rows, e.cols, c, index, means, vars_, seed)
 
 

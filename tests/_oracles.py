@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own code paths: clustering by
 exhaustive assignment enumeration, nearest centroids by explicit
-differences, neighbors by a full cosine table.
+differences, neighbors by a full cosine table, k-means++ seeding over the
+whole array at once (only the hash stream is shared with the library).
 """
 
 import numpy as np
+
+from gpq.rng import derive_seed, mix64, row_hashes
 
 
 def brute_force_kmeans_objective(points, c: int) -> float:
@@ -49,3 +52,28 @@ def brute_force_topk_cosine(values, k: int) -> list[list[int]]:
         sims.sort()
         out.append([j for _, j in sims[:k]])
     return out
+
+
+def brute_force_plus_plus(points, c: int, seed: int) -> np.ndarray:
+    """k-means++ centers by exponential race over all points at once: the
+    first of the smallest keys -log(1-u)/d2 wins, u from the content hash
+    stream; uniform keys at step 0 and whenever no key is finite. d2 sums
+    squared coordinate differences in coordinate order."""
+    pts = np.asarray(points, dtype=np.float64)
+    hashes = row_hashes(pts, seed)
+    d2 = np.full(len(pts), np.inf)
+    centers = []
+    for step in range(c):
+        bits = mix64(hashes ^ np.uint64(derive_seed(seed, step)))
+        u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53
+        with np.errstate(divide="ignore"):
+            key = -np.log1p(-u) / d2
+        if step == 0 or not np.isfinite(key.min()):
+            key = u
+        centers.append(pts[np.argmin(key)])
+        diff = pts - centers[-1]
+        nd2 = diff[:, 0] ** 2
+        for j in range(1, pts.shape[1]):
+            nd2 = nd2 + diff[:, j] ** 2
+        d2 = np.minimum(d2, nd2)
+    return np.array(centers)

@@ -1,7 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,54 @@ def test_exit_code_data_error_rows_beyond_header(tmp_path, capsys):
     assert err == "error: data: row count mismatch: expected 1 rows, got more\n"
 
 
+def cli_process(*argv, **env) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process, so that anything written to stderr,
+    warnings included, reaches the captured stderr."""
+    pythonpath = [str(Path(gpq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.run([sys.executable, "-m", "gpq.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_exit_code_data_error_value_beyond_binary32(tmp_path):
+    bad = tmp_path / "big.w2v"
+    bad.write_bytes(b"1 3\nw 1e39 2 3\n")
+    for argv in (["compress", "--input", str(bad), "-g", "1", "-c", "1",
+                  "-o", str(tmp_path / "x")],
+                 ["compare", "--original", str(bad), "--reconstructed", str(bad)]):
+        proc = cli_process(*argv)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: data: non-finite value at row 0\n"
+
+
+def test_gpq_variance_beyond_binary32_is_data_error(tmp_path):
+    # finite binary32 input whose cluster variance (9e76) is not
+    src, out = tmp_path / "wide.raw", tmp_path / "x.gpqe"
+    src.write_bytes(np.array([[3e38, 1], [-3e38, 1], [3e38, 2], [-3e38, 2]],
+                             dtype="<f4").tobytes())
+    proc = cli_process("compress", "--input", str(src), "--format", "raw", "--rows", "4",
+                       "--cols", "2", "--method", "gpq", "-g", "1", "-c", "1", "-o", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == "error: data: non-finite variance in codebook\n"
+    assert not out.exists()
+
+
+def test_exit_code_format_error_non_finite_variance(tmp_path, capsys):
+    e = EmbeddingMatrix(np.random.default_rng(0).normal(size=(4, 2)).astype(np.float32))
+    data = bytearray(codec.encode(gpq_compress(e, PartitionScheme(PartitionKind.UNIFIED, 1),
+                                               2, seed=0)))
+    struct.pack_into("<f", data, codec.HEADER_SIZE + 2 * 2 * 4, np.inf)  # first variance
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    bad = tmp_path / "c.gpqe"
+    bad.write_bytes(bytes(data))
+    for argv in (["info", "--input", str(bad)],
+                 ["decompress", "--input", str(bad), "--mode", "sample",
+                  "-o", str(tmp_path / "out.raw")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert err == "error: format: non-finite variance in codebook\n"
+
+
 def test_exit_code_data_error_vocab_not_utf8(tmp_path, capsys):
     container, vocab = tmp_path / "c.gpqe", tmp_path / "vocab.txt"
     rng = np.random.default_rng(0)
@@ -237,15 +287,11 @@ def test_compress_bytes_independent_of_blas_threads(tmp_path):
     assert rows * groups > _CHUNK_ROWS
     src = tmp_path / "in.raw"
     src.write_bytes(np.random.default_rng(5).normal(size=(rows, cols)).astype("<f4").tobytes())
-    pythonpath = [str(Path(gpq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     containers = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}.gpqe"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-        subprocess.run([sys.executable, "-m", "gpq.cli", "compress", "--input", str(src),
-                        "--format", "raw", "--rows", str(rows), "--cols", str(cols),
-                        "-g", str(groups), "-c", "16", "--seed", "1", "-o", str(out)],
-                       env=env, check=True, capture_output=True, timeout=600)
+        cli_process("compress", "--input", str(src), "--format", "raw", "--rows", str(rows),
+                    "--cols", str(cols), "-g", str(groups), "-c", "16", "--seed", "1",
+                    "-o", str(out), OPENBLAS_NUM_THREADS=threads).check_returncode()
         containers.append(out.read_bytes())
     assert containers[0] == containers[1]

@@ -1,6 +1,7 @@
-"""Property tests of the CLI's exit contract: whatever the argv or the
-container bytes, the exit code is 0, 2, 3 or 4, and a nonzero exit writes
-exactly one "error:" line to stderr (no traceback)."""
+"""Property tests of the CLI's exit contract: whatever the argv, the
+container bytes or the word2vec text, the exit code is 0, 2, 3 or 4, a
+nonzero exit writes exactly one "error:" line to stderr (no traceback, no
+warning) and exit 0 writes nothing to stderr."""
 
 import argparse
 import contextlib
@@ -8,6 +9,7 @@ import io
 import os
 import struct
 import tempfile
+import warnings
 import zlib
 
 import numpy as np
@@ -70,24 +72,30 @@ TOKENS = sorted({flag for opts in OPTIONS.values() for flag in opts}
 
 
 def run_cli(argv: list[str], cwd: str) -> tuple[int, str]:
-    """Run the CLI in cwd, where relative paths such as "out" land."""
+    """Run the CLI in cwd, where relative paths such as "out" land. Every
+    warning raised counts as stderr output, as it would be printed there."""
     err, home = io.StringIO(), os.getcwd()
     os.chdir(cwd)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
     finally:
         os.chdir(home)
-    return code, err.getvalue()
+    return code, err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
 
 
 def check_exit(argv: list[str], cwd: str) -> None:
     code, err = run_cli(argv, cwd)
     assert code in (0, 2, 3, 4), (argv, code, err)
-    if code != 0:
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), \
             (argv, err)
 
@@ -160,3 +168,40 @@ def test_argv_exit_contract(argv):
             with open(os.path.join(tmp, name), "wb") as f:
                 f.write(content)
         check_exit(argv, tmp)
+
+
+# values at and beyond binary32 range, non-finite, Python-only syntax, junk
+W2V_VALUES = [b"0", b"1", b"-2.5", b"1e-50", b"3.4028235e38", b"-3.4028235e38", b"1e39",
+              b"-1e39", b"nan", b"inf", b"-inf", b"1_0", b"", b"x", b"\xff"]
+W2V_TOKENS = [b"a", b"b", b"c", b"\xff\xfe", b""]
+
+
+@st.composite
+def word2vec_texts(draw) -> bytes:
+    """A header, then rows of a token and values drawn from the pools, with
+    one field more or fewer now and then; tokens repeat."""
+    rows, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    header = draw(st.sampled_from([f"{rows} {dim}".encode(), f"{rows + 1} {dim}".encode(),
+                                   f"{rows} {dim} 1".encode(), b"x 1"]))
+    lines = [header]
+    for _ in range(rows):
+        width = dim + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        fields = [draw(st.sampled_from(W2V_TOKENS))]
+        fields += [draw(st.sampled_from(W2V_VALUES)) for _ in range(max(width, 0))]
+        lines.append(b" ".join(fields))
+    return b"\n".join(lines) + b"\n"
+
+
+@given(word2vec_texts())
+@settings(max_examples=200, deadline=None)
+def test_word2vec_exit_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "emb.w2v"), "wb") as f:
+            f.write(text)
+        for argv in (["compress", "--input", "emb.w2v", "--method", "pq",
+                      "-g", "1", "-c", "1", "-o", "out"],
+                     ["compress", "--input", "emb.w2v", "--method", "gpq",
+                      "-g", "1", "-c", "1", "-o", "out"],
+                     ["compare", "--original", "emb.w2v", "--reconstructed", "emb.w2v",
+                      "-k", "1"]):
+            check_exit(argv, tmp)

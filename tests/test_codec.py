@@ -129,6 +129,21 @@ class TestContainer:
         with pytest.raises(FormatError, match="empty matrix"):
             decode(data)
 
+    @pytest.mark.parametrize("table", ["mean", "variance"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_codebook_rejected(self, table, value):
+        # unified, g=1, c=2, with variances: one bad float, a valid CRC
+        books = np.zeros((2, 1, 2, 2), dtype=np.float32)
+        books[int(table == "variance"), 0, 1, 0] = value
+        header = struct.pack("<4sBBQIIIBQ", b"GPQE", 1, 0x03, 2, 2, 1, 2, 32, 0)
+        body = header + books.tobytes() + pack_indices(np.array([1, 0], dtype=np.uint32), 1)
+        data = body + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(FormatError, match=f"non-finite {table}"):
+            decode(data)
+        with pytest.raises(DataError, match=f"non-finite {table}"):
+            QuantizedEmbedding(PartitionScheme(PartitionKind.UNIFIED, 1), 2, 2, 2,
+                               np.array([[1], [0]], dtype=np.uint32), books[0], books[1], 0)
+
     def test_round_trip_preserves_seed_and_flags(self):
         rng = np.random.default_rng(7)
         q = random_quantized(rng, with_vars=True)
@@ -163,37 +178,54 @@ def sha256(data) -> str:
 
 
 # SHA-256 of the container and of the mean- and sample-mode reconstructions
-# for a fixed RWE input; any change to clustering, layout or lookup shows here.
+# for fixed RWE inputs; any change to clustering, layout or lookup shows here.
+# Per (method, kind): the 48x12 g=4 c=6 input (sub-vectors of d = 3), then the
+# 64x32 g=2 c=8 input (d = 16, where numpy's axis sums switch to pairwise
+# summation and a reordered distance sum would first round differently).
+PINNED_INPUTS = ((48, 12, 4, 6), (64, 32, 2, 8))
 PINNED = {
-    ("pq", "structured"): (
+    ("pq", "structured"): ((
         "b65fff6fd27a2ec354e355df4642662c418d2757efc742974d18f1aa9864013b",
         "1f377207414f122b70c802bb4f05325dd305776df50c7e17a730ff17ea2f4625",
-        None),
-    ("pq", "unified"): (
+        None), (
+        "fa5cb9690aaa853bd334f0f2ab3843b0ac44961ad5be17079814668d8be9f9e9",
+        "a272538cbb7f5b8a01d39beeea79d1141d47aa4fd5d752f1c893b0a1a4a5deac",
+        None)),
+    ("pq", "unified"): ((
         "e7530f06becaf475c940336ce8d05b6a1787aa6a06dba9e59fd8a1be58e52d2e",
         "11223b7a67b05c19eba779fccd39b3bdde851a61e7cdd937e0444896da90b0b1",
-        None),
-    ("gpq", "structured"): (
+        None), (
+        "b77eef1c88906d869533745bf3dc1bda9d6dc906dffcbeebabce0c2a0870f2f5",
+        "6316dbfb275dc9d5e96a8d837e0ddc65d925ab2f6c042e64b2a76e2280c1b5a3",
+        None)),
+    ("gpq", "structured"): ((
         "0c78747c8ed257cd416332d24202731999c23d667db66c02ceb101dcb4ea59c3",
         "1f377207414f122b70c802bb4f05325dd305776df50c7e17a730ff17ea2f4625",
-        "e39fba1f714070649ef3526f01f7a4ea078a4133a74d342325df981997fd2da1"),
-    ("gpq", "unified"): (
+        "e39fba1f714070649ef3526f01f7a4ea078a4133a74d342325df981997fd2da1"), (
+        "f3019156028a2372461d668203018dadaef2f489c898dea32667a3061d3303b6",
+        "a272538cbb7f5b8a01d39beeea79d1141d47aa4fd5d752f1c893b0a1a4a5deac",
+        "f0f084a68eea5a8ca8b44aa014dc093b96963b53d691302a1862616484d0577c")),
+    ("gpq", "unified"): ((
         "0f4184a31c8a98ae2bebbd90a22b41a52cb43b5974bd53cc3ef53b2bde4fc01e",
         "11223b7a67b05c19eba779fccd39b3bdde851a61e7cdd937e0444896da90b0b1",
-        "b929521daed9e5633381682b2fe25eccdb5e5e3d67740103b54a44e9b041f1c8"),
+        "b929521daed9e5633381682b2fe25eccdb5e5e3d67740103b54a44e9b041f1c8"), (
+        "77c18d69bc7243547eb24114c83a08c2b0edfa9517c4df21a9190e9cb091ccb7",
+        "6316dbfb275dc9d5e96a8d837e0ddc65d925ab2f6c042e64b2a76e2280c1b5a3",
+        "2322f11c29be8f0e0b6fc4c997b764887e3cf02f5b0470a95c03c3cf51c16863")),
 }
 
 
 @pytest.mark.parametrize("method, kind", sorted(PINNED))
 def test_pinned_bytes(method, kind):
-    e = rwe_generate(RweConfig(rows=48, cols=12, seed=11))
     compress = gpq_compress if method == "gpq" else pq_compress
-    q = compress(e, PartitionScheme(PartitionKind(kind), 4), 6, seed=5, restarts=2)
-    mean = reconstruct(q, ReconstructMode.MEAN).values.astype("<f4")
-    got = [sha256(encode(q)), sha256(mean.tobytes())]
-    if q.codebook_vars is None:
-        got.append(None)
-    else:
-        sample = reconstruct(q, ReconstructMode.SAMPLE, seed=3).values.astype("<f4")
-        got.append(sha256(sample.tobytes()))
-    assert tuple(got) == PINNED[method, kind]
+    for (rows, cols, g, c), pins in zip(PINNED_INPUTS, PINNED[method, kind]):
+        e = rwe_generate(RweConfig(rows=rows, cols=cols, seed=11))
+        q = compress(e, PartitionScheme(PartitionKind(kind), g), c, seed=5, restarts=2)
+        mean = reconstruct(q, ReconstructMode.MEAN).values.astype("<f4")
+        got = [sha256(encode(q)), sha256(mean.tobytes())]
+        if q.codebook_vars is None:
+            got.append(None)
+        else:
+            sample = reconstruct(q, ReconstructMode.SAMPLE, seed=3).values.astype("<f4")
+            got.append(sha256(sample.tobytes()))
+        assert tuple(got) == pins, (rows, cols, g, c)

@@ -1,10 +1,16 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gpq import DataError, kmeans, kmeans_best_of
-from gpq.kmeans import _CHUNK_ROWS, _assign_dense, _assign_sorted
+from gpq.kmeans import _CHUNK_ROWS, _assign_dense, _assign_sorted, _init_plus_plus, _race
+from gpq.rng import row_hashes
 
-from _oracles import brute_force_kmeans_objective, brute_force_nearest
+from _oracles import brute_force_kmeans_objective, brute_force_nearest, brute_force_plus_plus
+
+KMEANS = sys.modules[_init_plus_plus.__module__]  # gpq.kmeans is also a function name
 
 
 def check_result_invariants(pts, res, c):
@@ -175,3 +181,57 @@ def test_dense_assignment_chunks_match_one_argmin(ties):
     assert np.array_equal(_assign_dense(pts, centroids), unchunked)
     if ties:
         assert np.array_equal(unchunked, brute_force_nearest(pts, centroids))
+
+
+@pytest.fixture(params=[None, 1, 3], ids=["default", "chunk1", "chunk3"])
+def chunk_rows(request, monkeypatch):
+    """Seeding block size: the module default, or 1 or 3 points."""
+    if request.param is not None:
+        monkeypatch.setattr(KMEANS, "_CHUNK_ROWS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_plus_plus_matches_oracle(chunk_rows, d):
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(40, d)) * np.exp(rng.normal(size=(40, d)))
+    for seed in range(3):
+        assert np.array_equal(_init_plus_plus(pts, 9, seed), brute_force_plus_plus(pts, 9, seed))
+
+
+def test_plus_plus_fewer_distinct_points_than_centers(chunk_rows):
+    # three distinct points: from step 3 on every key is infinite
+    pts = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0], [0.5, 0.5], [3.0, -1.0]] * 3)
+    for seed in range(3):
+        got = _init_plus_plus(pts, 7, seed)
+        assert np.array_equal(got, brute_force_plus_plus(pts, 7, seed))
+        assert len(np.unique(got[:3], axis=0)) == 3
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_race_ties_go_to_lowest_index(monkeypatch, weighted):
+    # duplicates draw equal keys; blocks of 1 or 3 points put a duplicate in
+    # a later block than its first occurrence
+    pts = np.array([[5.0], [2.0], [7.0], [2.0], [7.0], [5.0], [2.0]])
+    hashes = row_hashes(pts, 0)
+    d2 = (pts[:, 0] - 4.0) ** 2 if weighted else None
+    for salt in range(20):
+        whole = _race(hashes, salt, d2)  # one block at the default size
+        assert whole[0] == np.flatnonzero(pts[:, 0] == pts[whole[0], 0])[0]
+        for rows in (1, 3):
+            monkeypatch.setattr(KMEANS, "_CHUNK_ROWS", rows)
+            assert _race(hashes, salt, d2) == whole
+            monkeypatch.undo()
+
+
+def test_plus_plus_memory_bound():
+    # beside the column view (d == 1) only the hashes and d2 are m long
+    m = 4 * _CHUNK_ROWS
+    pts = np.random.default_rng(0).normal(size=(m, 1))
+    tracemalloc.start()
+    try:
+        _init_plus_plus(pts, 4, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * m * 8
