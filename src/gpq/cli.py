@@ -285,6 +285,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: data: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_DATA
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_DATA

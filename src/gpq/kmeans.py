@@ -1,9 +1,10 @@
 """Deterministic, seeded Lloyd's K-means with k-means++ initialization.
 
 Returns per-cluster means, per-dimension population variances, and
-assignments. Results are a pure function of (points, c, seed, max_iter,
-rel_tol) and, up to cluster relabeling and float summation order,
-independent of the order of input points.
+assignments. Results are a pure function of (points, c, seed) and, up to
+cluster relabeling and float summation order, independent of the order of
+input points. Lloyd's loop stops after 100 iterations or once the objective
+improves by 1e-6 of itself or less, as it does when no assignment changes.
 
 Each Lloyd iteration assigns every point to its nearest centroid with one
 of two kernels, chosen from the point dimension d alone:
@@ -19,7 +20,7 @@ of two kernels, chosen from the point dimension d alone:
 
 Both kernels resolve ties to the lowest centroid index, and neither the
 kernel nor the block size is a setting: both follow from the shape of the
-points, so results stay a pure function of the five inputs above. The
+points, so results stay a pure function of the three inputs above. The
 update is one statistics pass: per-cluster counts and sums by
 np.bincount, and one residual whose squares give the objective and, after
 the last iteration, the variances.
@@ -160,29 +161,23 @@ def _cluster_means(assign: np.ndarray, values: np.ndarray,
     return np.stack(sums, axis=1) / counts[:, None]
 
 
-def _repair_empty(pts, assign, centroids, c):
-    """Fill each empty cluster with the point farthest from its centroid,
-    drawn from clusters that keep at least one member."""
-    while True:
-        counts = np.bincount(assign, minlength=c)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size == 0:
-            return assign
-        dist = np.sum((pts - centroids[assign]) ** 2, axis=1)
-        movable = counts[assign] > 1
-        dist = np.where(movable, dist, -np.inf)
-        donor = int(np.argmax(dist))
-        k = int(empties[0])
+def _repair_empty(pts, assign, centroids, counts):
+    """Give each empty cluster, lowest index first, the point farthest from
+    its centroid among clusters that keep a member (first index on ties).
+    Updates assign and counts in place."""
+    dist = np.sum((pts - centroids[assign]) ** 2, axis=1)
+    for k in np.flatnonzero(counts == 0):
+        donor = int(np.argmax(np.where(counts[assign] > 1, dist, -np.inf)))
+        counts[assign[donor]] -= 1
+        counts[k] = 1
         assign[donor] = k
-        centroids[k] = pts[donor]
 
 
-def kmeans(points, c: int, seed: int,
-           max_iter: int = DEFAULT_MAX_ITER,
-           rel_tol: float = DEFAULT_REL_TOL) -> ClusterResult:
-    """Lloyd iterations from k-means++ seeding until the objective's
-    relative improvement drops below rel_tol, assignments stabilize, or
-    max_iter is reached."""
+def kmeans(points, c: int, seed: int) -> ClusterResult:
+    """Lloyd iterations from k-means++ seeding, a pure function of (points,
+    c, seed). Stops after DEFAULT_MAX_ITER iterations or once the objective
+    improves by DEFAULT_REL_TOL of itself or less, as it does when no
+    assignment changes; repairs empty clusters only when there are some."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DataError(f"points must be 2-D, got shape {pts.shape}")
@@ -193,8 +188,6 @@ def kmeans(points, c: int, seed: int,
         raise DataError(f"cluster count {c} exceeds point count {m}")
     if not np.all(np.isfinite(pts)):
         raise DataError("points contain non-finite values")
-    if max_iter < 1:
-        raise DataError("max_iter must be >= 1")
 
     if d == 1:
         order = np.argsort(pts[:, 0], kind="stable")
@@ -203,19 +196,18 @@ def kmeans(points, c: int, seed: int,
         nearest = functools.partial(_assign_dense, pts)
 
     centroids = _init_plus_plus(pts, c, seed)
-    assign = np.full(m, -1, dtype=np.intp)
     prev_obj = np.inf
-    for it in range(1, max_iter + 1):
-        new_assign = _repair_empty(pts, nearest(centroids), centroids, c)
-        stable = np.array_equal(new_assign, assign)
-        assign = new_assign
+    for it in range(1, DEFAULT_MAX_ITER + 1):
+        assign = nearest(centroids)
         counts = np.bincount(assign, minlength=c)
+        if not counts.all():
+            _repair_empty(pts, assign, centroids, counts)
         centroids = _cluster_means(assign, pts, counts)
         sq_resid = pts - centroids[assign]
         sq_resid *= sq_resid
         obj = float(np.sum(sq_resid))
         assert obj <= prev_obj * (1.0 + 1e-12) + 1e-300
-        if stable or (np.isfinite(prev_obj) and prev_obj - obj <= rel_tol * prev_obj):
+        if np.isfinite(prev_obj) and prev_obj - obj <= DEFAULT_REL_TOL * prev_obj:
             break
         prev_obj = obj
 
@@ -223,16 +215,14 @@ def kmeans(points, c: int, seed: int,
     return ClusterResult(centroids, variances, assign, obj, it)
 
 
-def kmeans_best_of(points, c: int, seed: int, restarts: int = 1,
-                   max_iter: int = DEFAULT_MAX_ITER,
-                   rel_tol: float = DEFAULT_REL_TOL) -> ClusterResult:
-    """Best of `restarts` seeded runs (seeds seed+0 .. seed+restarts-1);
+def kmeans_best_of(points, c: int, seed: int, restarts: int = 1) -> ClusterResult:
+    """Best of `restarts` kmeans runs (seeds seed+0 .. seed+restarts-1);
     ties go to the lowest restart index."""
     if restarts < 1:
         raise DataError("restarts must be >= 1")
     best = None
     for r in range(restarts):
-        res = kmeans(points, c, seed + r, max_iter=max_iter, rel_tol=rel_tol)
+        res = kmeans(points, c, seed + r)
         if best is None or res.objective < best.objective:
             best = res
     return best

@@ -25,6 +25,9 @@ class RweConfig:
             raise DataError(f"invalid shape {self.rows}x{self.cols}")
         if self.projection_dim is not None and self.projection_dim < 1:
             raise DataError("projection_dim must be >= 1")
+        for n, m in ((self.rows, self.cols), (self.cols, self.projection_dim or 1)):
+            if n * m > np.iinfo(np.intp).max:
+                raise DataError(f"a {n}x{m} matrix has more elements than numpy can index")
 
 
 def rwe_generate(cfg: RweConfig) -> EmbeddingMatrix:

@@ -77,3 +77,41 @@ def brute_force_plus_plus(points, c: int, seed: int) -> np.ndarray:
             nd2 = nd2 + diff[:, j] ** 2
         d2 = np.minimum(d2, nd2)
     return np.array(centers)
+
+
+def plain_lloyd(points, c: int, seed: int):
+    """Lloyd's k-means as one plain loop, the library's reference: centers
+    from brute_force_plus_plus, labels from brute_force_nearest. While a
+    cluster is empty, the lowest empty one takes the point farthest from its
+    centroid among clusters of two or more (first index on ties), and the
+    labels are counted again. Means sum by np.add.at. Stops when the labels
+    repeat, when the objective improves by 1e-6 of itself or less, or after
+    100 iterations. Returns (labels, centroids, objective, iterations,
+    repairs), repairs counting the points moved."""
+    pts = np.asarray(points, dtype=np.float64)
+    centroids = brute_force_plus_plus(pts, c, seed)
+    labels = np.full(len(pts), -1)
+    prev, repairs = np.inf, 0
+    for it in range(1, 101):
+        new = brute_force_nearest(pts, centroids)
+        while True:
+            counts = np.bincount(new, minlength=c)
+            empty = np.flatnonzero(counts == 0)
+            if empty.size == 0:
+                break
+            dist = np.sum((pts - centroids[new]) ** 2, axis=1)
+            dist[counts[new] < 2] = -np.inf
+            donor = np.argmax(dist)
+            new[donor] = empty[0]
+            centroids[empty[0]] = pts[donor]
+            repairs += 1
+        stable = np.array_equal(new, labels)
+        labels = new
+        sums = np.zeros((c, pts.shape[1]))
+        np.add.at(sums, labels, pts)
+        centroids = sums / counts[:, None]
+        obj = float(np.sum((pts - centroids[labels]) ** 2))
+        if stable or (np.isfinite(prev) and prev - obj <= 1e-6 * prev):
+            break
+        prev = obj
+    return labels, centroids, obj, it, repairs

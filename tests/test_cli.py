@@ -121,6 +121,21 @@ def test_rwe_command(tmp_path, capsys):
     assert proj.size == 4 * 8
 
 
+
+# Every size here is at least 2**50 elements, which numpy refuses before it
+# touches a page: beyond its index range (a DataError from RweConfig), or an
+# allocation larger than the address space (MemoryError).
+@pytest.mark.parametrize("size", [
+    ["--rows", str(2**25), "--cols", str(2**25)],
+    ["--rows", "1", "--cols", "1", "--projection-dim", str(2**50)],
+    ["--rows", str(2**64), "--cols", "1"],
+    ["--rows", "1", "--cols", "2", "--projection-dim", str(2**63)],
+])
+def test_rwe_too_large_is_data_error(tmp_path, capsys, size):
+    code, _, err = run(capsys, "rwe", *size, "-o", str(tmp_path / "x"))
+    assert code == 3
+    assert err.startswith("error: data:") and err.count("\n") == 1
+
 def test_sweep_ordered_output(tmp_path, capsys, w2v_file):
     src, _ = w2v_file
     code, stdout, _ = run(capsys, "sweep", "--input", str(src),

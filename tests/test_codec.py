@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpq import (DataError, FormatError, PartitionKind, PartitionScheme, QuantizedEmbedding,
-                 ReconstructMode, RweConfig, gpq_compress, pq_compress, reconstruct,
-                 rwe_generate)
+from gpq import (DataError, EmbeddingMatrix, FormatError, PartitionKind, PartitionScheme,
+                 QuantizedEmbedding, ReconstructMode, RweConfig, gpq_compress, pq_compress,
+                 reconstruct, rwe_generate)
 from gpq.codec import HEADER_SIZE, decode, encode, pack_indices, payload_length, unpack_indices
 from gpq.quantizer import index_bit_width, size_report
 
@@ -179,10 +179,14 @@ def sha256(data) -> str:
 
 # SHA-256 of the container and of the mean- and sample-mode reconstructions
 # for fixed RWE inputs; any change to clustering, layout or lookup shows here.
-# Per (method, kind): the 48x12 g=4 c=6 input (sub-vectors of d = 3), then the
-# 64x32 g=2 c=8 input (d = 16, where numpy's axis sums switch to pairwise
-# summation and a reordered distance sum would first round differently).
-PINNED_INPUTS = ((48, 12, 4, 6), (64, 32, 2, 8))
+# Each input is (rows, cols, g, c, distinct): RWE distinct x cols with its rows
+# repeated down to `rows`. Per (method, kind): the 48x12 g=4 c=6
+# input (sub-vectors of d = 3), the 64x32 g=2 c=8 input (d = 16, where
+# numpy's axis sums switch to pairwise summation and a reordered distance sum
+# would first round differently), the 48x12 g=12 c=6 input (d = 1, the
+# paper's case), and 24x2 g=2 c=6 from two distinct rows (d = 1 with fewer
+# distinct values than clusters, so empty clusters are repaired).
+PINNED_INPUTS = ((48, 12, 4, 6, 48), (64, 32, 2, 8, 64), (48, 12, 12, 6, 48), (24, 2, 2, 6, 2))
 PINNED = {
     ("pq", "structured"): ((
         "b65fff6fd27a2ec354e355df4642662c418d2757efc742974d18f1aa9864013b",
@@ -190,6 +194,12 @@ PINNED = {
         None), (
         "fa5cb9690aaa853bd334f0f2ab3843b0ac44961ad5be17079814668d8be9f9e9",
         "a272538cbb7f5b8a01d39beeea79d1141d47aa4fd5d752f1c893b0a1a4a5deac",
+        None), (
+        "72eb60efc55b9a4a5e0ea3c6f82210c67f80c234fee967165d5ff1dd92607d90",
+        "9562be60c1c7852ac76a1c4a66d8bd19633562fdb68cd1757754040afba6fa56",
+        None), (
+        "83fe851a2d511856ce47a0c9c1d5e71412fbc37231862214c3fd31b7902914b0",
+        "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         None)),
     ("pq", "unified"): ((
         "e7530f06becaf475c940336ce8d05b6a1787aa6a06dba9e59fd8a1be58e52d2e",
@@ -197,6 +207,12 @@ PINNED = {
         None), (
         "b77eef1c88906d869533745bf3dc1bda9d6dc906dffcbeebabce0c2a0870f2f5",
         "6316dbfb275dc9d5e96a8d837e0ddc65d925ab2f6c042e64b2a76e2280c1b5a3",
+        None), (
+        "e37e8ead712c0d80408d439e02fa8fdfacbf73090b58d051a958c8bd41fc60d0",
+        "7e131d1d49198623445c673cac00870949ddd87f17586da3cc72fe91cf2ff60b",
+        None), (
+        "c01d7bd5e2db035ccfe14611fc5a9363b8c16453dcba5115671b0921929f90a9",
+        "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         None)),
     ("gpq", "structured"): ((
         "0c78747c8ed257cd416332d24202731999c23d667db66c02ceb101dcb4ea59c3",
@@ -204,22 +220,36 @@ PINNED = {
         "e39fba1f714070649ef3526f01f7a4ea078a4133a74d342325df981997fd2da1"), (
         "f3019156028a2372461d668203018dadaef2f489c898dea32667a3061d3303b6",
         "a272538cbb7f5b8a01d39beeea79d1141d47aa4fd5d752f1c893b0a1a4a5deac",
-        "f0f084a68eea5a8ca8b44aa014dc093b96963b53d691302a1862616484d0577c")),
+        "f0f084a68eea5a8ca8b44aa014dc093b96963b53d691302a1862616484d0577c"), (
+        "652cab7d5e05e401733fdb41701a1ccc39fdfd054141b0f287568c7e9f2cacc6",
+        "9562be60c1c7852ac76a1c4a66d8bd19633562fdb68cd1757754040afba6fa56",
+        "63181189f6e6256136f7e3ddbc80bfc75effea6643e8efff28d793f9956c1aba"), (
+        "3508e925717e4eb185092d068faf332ecf88bf83298b52a27af38a62529ae2cc",
+        "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
+        "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8")),
     ("gpq", "unified"): ((
         "0f4184a31c8a98ae2bebbd90a22b41a52cb43b5974bd53cc3ef53b2bde4fc01e",
         "11223b7a67b05c19eba779fccd39b3bdde851a61e7cdd937e0444896da90b0b1",
         "b929521daed9e5633381682b2fe25eccdb5e5e3d67740103b54a44e9b041f1c8"), (
         "77c18d69bc7243547eb24114c83a08c2b0edfa9517c4df21a9190e9cb091ccb7",
         "6316dbfb275dc9d5e96a8d837e0ddc65d925ab2f6c042e64b2a76e2280c1b5a3",
-        "2322f11c29be8f0e0b6fc4c997b764887e3cf02f5b0470a95c03c3cf51c16863")),
+        "2322f11c29be8f0e0b6fc4c997b764887e3cf02f5b0470a95c03c3cf51c16863"), (
+        "fac02e3ac3cc33af7d56e0aa8865a93981aa35890cb8921572df9cc50793ce45",
+        "7e131d1d49198623445c673cac00870949ddd87f17586da3cc72fe91cf2ff60b",
+        "c7fc91ce4a6617f30e409ce9ce5b972c5c2cb7665f4018c8472b18bdaeddecad"), (
+        "7902148a1e00cbe4f0ebe293c247be5d4a5a197d7f4303fbd6aa899bc921a65f",
+        "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
+        "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8")),
 }
 
 
 @pytest.mark.parametrize("method, kind", sorted(PINNED))
 def test_pinned_bytes(method, kind):
     compress = gpq_compress if method == "gpq" else pq_compress
-    for (rows, cols, g, c), pins in zip(PINNED_INPUTS, PINNED[method, kind]):
-        e = rwe_generate(RweConfig(rows=rows, cols=cols, seed=11))
+    assert len(PINNED[method, kind]) == len(PINNED_INPUTS)
+    for (rows, cols, g, c, distinct), pins in zip(PINNED_INPUTS, PINNED[method, kind]):
+        e = rwe_generate(RweConfig(rows=distinct, cols=cols, seed=11))
+        e = EmbeddingMatrix(np.tile(e.values, (rows // distinct, 1)))
         q = compress(e, PartitionScheme(PartitionKind(kind), g), c, seed=5, restarts=2)
         mean = reconstruct(q, ReconstructMode.MEAN).values.astype("<f4")
         got = [sha256(encode(q)), sha256(mean.tobytes())]

@@ -8,7 +8,8 @@ from gpq import DataError, kmeans, kmeans_best_of
 from gpq.kmeans import _CHUNK_ROWS, _assign_dense, _assign_sorted, _init_plus_plus, _race
 from gpq.rng import row_hashes
 
-from _oracles import brute_force_kmeans_objective, brute_force_nearest, brute_force_plus_plus
+from _oracles import (brute_force_kmeans_objective, brute_force_nearest, brute_force_plus_plus,
+                      plain_lloyd)
 
 KMEANS = sys.modules[_init_plus_plus.__module__]  # gpq.kmeans is also a function name
 
@@ -128,11 +129,41 @@ def test_more_clusters_than_distinct_points():
     lambda: kmeans(np.zeros((2, 1)), 0, seed=0),
     lambda: kmeans(np.array([[np.inf]]), 1, seed=0),
     lambda: kmeans_best_of(np.zeros((2, 1)), 1, seed=0, restarts=0),
-    lambda: kmeans(np.zeros((2, 1)), 1, seed=0, max_iter=0),
 ])
 def test_errors(bad):
     with pytest.raises(DataError):
         bad()
+
+
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_matches_plain_lloyd(d):
+    # Repeated rows and c from two below to two above the distinct count:
+    # per d, 50 cases, of which the 20 with c above the distinct count
+    # repair empty clusters, moving 60 points in all. float32 values, as the
+    # quantizer passes them: the mean of equal float32 values is exact in
+    # float64, where that of equal float64 values may round (see below).
+    repairs = 0
+    for trial in range(10):
+        rng = np.random.default_rng([d, trial])
+        k = int(rng.integers(3, 20))
+        pts = rng.normal(size=(k, d)).astype(np.float32)[rng.integers(0, k, size=3 * k)]
+        k = len(np.unique(pts, axis=0))
+        for c in range(max(1, k - 2), k + 3):
+            res = kmeans(pts, c, seed=trial)
+            labels, centroids, objective, iterations, moved = plain_lloyd(pts, c, trial)
+            assert np.array_equal(res.assignments, labels)
+            assert np.array_equal(res.centroids, centroids)
+            assert (res.objective, res.iterations) == (objective, iterations)
+            repairs += moved
+    assert repairs > 0
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="the mean of three equal float64 values can round, so the objective "
+                          "of pure clusters rises by rounding noise, past the monotonicity "
+                          "assert's 1e-300 absolute slack")
+def test_float64_duplicates_more_clusters_than_distinct():
+    kmeans(np.array([[0.1]] * 3 + [[0.2]] * 3), 3, seed=0)
 
 
 def sorted_nearest(pts, centroids):
