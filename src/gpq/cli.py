@@ -7,6 +7,7 @@ CRC error. Errors print a single machine-parsable line to stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -44,10 +45,13 @@ def _save_embedding(e, path: str, fmt: str, vocab_path: str | None):
         except UnicodeDecodeError:
             raise DataError(f"vocabulary {vocab_path} is not UTF-8 text") from None
         e = embio.EmbeddingMatrix(e.values, tokens)
-    with open(path, "wb") as f:
-        if fmt == "w2v":
-            embio.save_word2vec_text(e, f)
-        else:
+    if fmt == "w2v":
+        text = io.BytesIO()  # the tokens are checked before the output is opened
+        embio.save_word2vec_text(e, text)
+        with open(path, "wb") as f:
+            f.write(text.getbuffer())
+    else:
+        with open(path, "wb") as f:
             embio.save_raw(e, f)
 
 
@@ -135,13 +139,14 @@ def cmd_info(args) -> int:
 def cmd_rwe(args) -> int:
     cfg = rwe.RweConfig(args.rows, args.cols, args.seed, args.projection_dim)
     e = rwe.rwe_generate(cfg)
+    if args.projection_dim is not None:  # computed before any output is opened
+        w = rwe.projection_init(args.cols, args.projection_dim, args.seed)
+        proj = w.astype("<f4").tobytes()
     with open(args.output, "wb") as f:
         embio.save_raw(e, f)
     if args.projection_dim is not None:
-        w = rwe.projection_init(args.cols, args.projection_dim, args.seed)
-        out = args.projection_output or args.output + ".proj"
-        with open(out, "wb") as f:
-            f.write(w.astype("<f4").tobytes())
+        with open(args.projection_output or args.output + ".proj", "wb") as f:
+            f.write(proj)
     counts = rwe.rwe_param_counts(cfg)
     _print_report(counts,
                   [f"{k:<21}{v}" for k, v in counts.items()],

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError, FormatError
 from .quantizer import (PartitionKind, PartitionScheme, QuantizedEmbedding,
-                        index_bit_width)
+                        compute_size_report, index_bit_width)
 
 MAGIC = b"GPQE"
 VERSION = 1
@@ -50,8 +50,6 @@ def unpack_indices(data: bytes, count: int, bits: int) -> np.ndarray:
 
 
 def encode(q: QuantizedEmbedding) -> bytes:
-    if not 0 <= q.seed < 2**64:
-        raise DataError(f"seed {q.seed} does not fit the header's 64 bits")
     flags = 0
     if q.codebook_vars is not None:
         flags |= _FLAG_VARS
@@ -69,6 +67,9 @@ def encode(q: QuantizedEmbedding) -> bytes:
 
 
 def decode(data: bytes) -> QuantizedEmbedding:
+    """Parse a container. Only wire-format checks live here: the header
+    numbers and arrays are checked where they are defined, and any
+    DataError from those checks becomes a FormatError."""
     if len(data) < HEADER_SIZE + 4:
         raise FormatError("truncated stream")
     magic, version, flags, rows, cols, groups, clusters, f_p, seed = \
@@ -79,49 +80,30 @@ def decode(data: bytes) -> QuantizedEmbedding:
         raise FormatError(f"unsupported version {version}")
     if f_p != 32:
         raise FormatError(f"unsupported float width {f_p}")
-    if rows < 1 or cols < 1:
-        raise FormatError(f"empty matrix: rows={rows} cols={cols}")
-    if clusters < 1:
-        raise FormatError("cluster count must be >= 1")
-    if groups < 1 or cols % groups != 0:
-        raise FormatError(f"group count {groups} does not divide dimension {cols}")
-
+    if flags & ~(_FLAG_VARS | _FLAG_UNIFIED):
+        raise FormatError(f"unknown flag bits {flags:#04x}")
     has_vars = bool(flags & _FLAG_VARS)
     kind = PartitionKind.UNIFIED if flags & _FLAG_UNIFIED else PartitionKind.STRUCTURED
-    scheme = PartitionScheme(kind, groups)
-    sub = cols // groups
-    blocks = scheme.blocks
-
-    book_bytes = blocks * clusters * sub * 4
-    index_bytes = ((rows * groups * index_bit_width(clusters)) + 7) // 8
-    expected = HEADER_SIZE + book_bytes * (2 if has_vars else 1) + index_bytes + 4
-    if len(data) < expected:
-        raise FormatError("truncated stream")
-    if len(data) > expected:
-        raise FormatError("trailing bytes after container")
-
-    stored_crc = struct.unpack_from("<I", data, expected - 4)[0]
-    if zlib.crc32(data[:expected - 4]) != stored_crc:
-        raise FormatError("CRC mismatch")
-
-    off = HEADER_SIZE
-    means = np.frombuffer(data, dtype="<f4", count=blocks * clusters * sub,
-                          offset=off).reshape(blocks, clusters, sub)
-    off += book_bytes
-    vars_ = None
-    if has_vars:
-        vars_ = np.frombuffer(data, dtype="<f4", count=blocks * clusters * sub,
-                              offset=off).reshape(blocks, clusters, sub)
-        off += book_bytes
-    index = unpack_indices(data[off:off + index_bytes], rows * groups,
-                           index_bit_width(clusters)).reshape(rows, groups)
-    if index.size and int(index.max()) >= clusters:
-        raise FormatError("index entry out of range")
     try:
-        return QuantizedEmbedding(scheme, rows, cols, clusters, index,
-                                  means.copy(), None if vars_ is None else vars_.copy(),
+        scheme = PartitionScheme(kind, groups)
+        # sized from the header alone: a huge header fails here, before any allocation
+        expected = (HEADER_SIZE + compute_size_report(rows, cols, scheme, clusters,
+                                                      has_vars).storable_bytes + 4)
+        if len(data) < expected:
+            raise FormatError("truncated stream")
+        if len(data) > expected:
+            raise FormatError("trailing bytes after container")
+        if zlib.crc32(data[:-4]) != struct.unpack_from("<I", data, expected - 4)[0]:
+            raise FormatError("CRC mismatch")
+
+        shape = (2 if has_vars else 1, scheme.blocks, clusters, cols // groups)
+        books = np.frombuffer(data, dtype="<f4", count=np.prod(shape),
+                              offset=HEADER_SIZE).reshape(shape).copy()
+        index = unpack_indices(data[HEADER_SIZE + books.nbytes:-4], rows * groups,
+                               index_bit_width(clusters)).reshape(rows, groups)
+        return QuantizedEmbedding(scheme, index, books[0], books[1] if has_vars else None,
                                   seed)
-    except Exception as exc:
+    except DataError as exc:
         raise FormatError(str(exc)) from exc
 
 

@@ -62,30 +62,27 @@ class QuantizedEmbedding:
     codebook_means has shape (blocks, c, n/g), with blocks and the
     codebook each group reads given by PartitionScheme.blocks.
     codebook_vars, when present, is shape-identical and carries
-    per-dimension intra-cluster variances.
+    per-dimension intra-cluster variances. rows, cols and clusters come
+    from the arrays' shapes. Construction raises DataError unless a GPQE
+    container can carry the value.
     """
 
     scheme: PartitionScheme
-    rows: int
-    cols: int
-    clusters: int
     index_matrix: np.ndarray           # (rows, groups) uint32
     codebook_means: np.ndarray         # (blocks, c, n/g) float32
     codebook_vars: np.ndarray | None   # same shape, float32, or None
     seed: int
 
     def __post_init__(self):
-        g = self.scheme.groups
-        self.scheme.check_divides(self.cols)
-        sub = self.cols // g
-        blocks = self.scheme.blocks
-        if self.index_matrix.shape != (self.rows, g):
-            raise DataError(f"index matrix shape {self.index_matrix.shape} != ({self.rows}, {g})")
-        if self.index_matrix.size and int(self.index_matrix.max()) >= self.clusters:
-            raise DataError("index matrix entry out of range")
-        if self.codebook_means.shape != (blocks, self.clusters, sub):
+        g, blocks = self.scheme.groups, self.scheme.blocks
+        if self.index_matrix.ndim != 2 or self.index_matrix.shape[1] != g:
+            raise DataError(f"index matrix shape {self.index_matrix.shape} != (rows, {g})")
+        if self.codebook_means.ndim != 3 or self.codebook_means.shape[0] != blocks:
             raise DataError(
-                f"codebook shape {self.codebook_means.shape} != ({blocks}, {self.clusters}, {sub})")
+                f"codebook shape {self.codebook_means.shape} != ({blocks}, clusters, cols/{g})")
+        size_report(self)  # checks the header numbers
+        if self.index_matrix.min() < 0 or self.index_matrix.max() >= self.clusters:
+            raise DataError("index matrix entry out of range")
         if not np.all(np.isfinite(self.codebook_means)):
             raise DataError("non-finite mean in codebook")
         if self.codebook_vars is not None:
@@ -95,6 +92,20 @@ class QuantizedEmbedding:
                 raise DataError("non-finite variance in codebook")
             if np.any(self.codebook_vars < 0):
                 raise DataError("negative variance in codebook")
+        if not 0 <= self.seed < 2**64:
+            raise DataError(f"seed {self.seed} does not fit the header's 64 bits")
+
+    @property
+    def rows(self) -> int:
+        return self.index_matrix.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.codebook_means.shape[2] * self.scheme.groups
+
+    @property
+    def clusters(self) -> int:
+        return self.codebook_means.shape[1]
 
     @property
     def total_clusters(self) -> int:
@@ -106,9 +117,7 @@ class QuantizedEmbedding:
             return NotImplemented
         if (self.codebook_vars is None) != (other.codebook_vars is None):
             return False
-        return (self.scheme == other.scheme
-                and (self.rows, self.cols, self.clusters, self.seed)
-                == (other.rows, other.cols, other.clusters, other.seed)
+        return (self.scheme == other.scheme and self.seed == other.seed
                 and np.array_equal(self.index_matrix, other.index_matrix)
                 and np.array_equal(self.codebook_means, other.codebook_means)
                 and (self.codebook_vars is None
@@ -152,27 +161,23 @@ def index_bit_width(clusters: int) -> int:
     return 0 if clusters <= 1 else (clusters - 1).bit_length()
 
 
-def partition(e: EmbeddingMatrix, scheme: PartitionScheme):
-    """Split the matrix per the scheme.
+def partition(e: EmbeddingMatrix, scheme: PartitionScheme) -> np.ndarray:
+    """Split the matrix into an array of shape (blocks, groups // blocks
+    * rows, n/g): block b stacks the contiguous column ranges of the
+    groups it serves row-wise, in group order.
 
-    Structured: list of g blocks, each rows x (n/g), from contiguous
-    column ranges. Unified: a single (g*rows) x (n/g) matrix with the
-    blocks stacked row-wise in group order.
+    Structured: one block per group, a view of the matrix. Unified: a
+    single block holding all g groups, a copy.
     """
     scheme.check_divides(e.cols)
-    g = scheme.groups
-    sub = e.cols // g
-    blocks = [e.values[:, i * sub:(i + 1) * sub] for i in range(g)]
-    if scheme.kind is PartitionKind.STRUCTURED:
-        return blocks
-    return np.vstack(blocks)
+    sub = e.cols // scheme.groups
+    return (e.values.reshape(e.rows, scheme.groups, sub).transpose(1, 0, 2)
+            .reshape(scheme.blocks, -1, sub))
 
 
 def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
               restarts: int, with_vars: bool) -> QuantizedEmbedding:
-    if c < 1:
-        raise DataError("cluster count must be >= 1")
-    scheme.check_divides(e.cols)
+    compute_size_report(e.rows, e.cols, scheme, c, with_vars)  # checks c and g up front
     g, blocks = scheme.groups, scheme.blocks
     per = g // blocks  # groups stacked row-wise into each block
     if c > per * e.rows:
@@ -181,10 +186,7 @@ def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
     means = np.empty((blocks, c, e.cols // g), dtype=np.float32)
     vars_ = np.empty_like(means) if with_vars else None
 
-    parts = partition(e, scheme)
-    if scheme.kind is PartitionKind.UNIFIED:
-        parts = [parts]
-    for b, block in enumerate(parts):
+    for b, block in enumerate(partition(e, scheme)):
         res = kmeans_best_of(block, c, derive_seed(seed, b), restarts)
         index[:, b * per:(b + 1) * per] = res.assignments.reshape(per, e.rows).T
         # a variance beyond binary32 range casts to inf, which
@@ -193,7 +195,7 @@ def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
             means[b] = res.centroids
             if with_vars:
                 vars_[b] = res.variances
-    return QuantizedEmbedding(scheme, e.rows, e.cols, c, index, means, vars_, seed)
+    return QuantizedEmbedding(scheme, index, means, vars_, seed)
 
 
 def pq_compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int,
@@ -234,7 +236,13 @@ def reconstruct(q: QuantizedEmbedding, mode: ReconstructMode = ReconstructMode.M
 
 def compute_size_report(rows: int, cols: int, scheme: PartitionScheme,
                         clusters: int, has_vars: bool) -> SizeReport:
-    """Size accounting from parameters alone (no codebook needed)."""
+    """Size accounting from parameters alone (no codebook needed). The one
+    check of a container header's numbers: raises DataError unless the
+    matrix is non-empty, c >= 1 and the group count divides cols."""
+    if rows < 1 or cols < 1:
+        raise DataError(f"empty matrix: rows={rows} cols={cols}")
+    if clusters < 1:
+        raise DataError("cluster count must be >= 1")
     scheme.check_divides(cols)
     g = scheme.groups
     mean_params = clusters * (cols // g) * scheme.blocks

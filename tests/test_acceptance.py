@@ -140,7 +140,7 @@ def test_criterion_6_gpq_degeneracy():
 
 def test_criterion_7_sampling_statistics():
     q = QuantizedEmbedding(
-        PartitionScheme(UNIFIED, 1), 1, 1, 1,
+        PartitionScheme(UNIFIED, 1),
         np.zeros((1, 1), dtype=np.uint32),
         np.zeros((1, 1, 1), dtype=np.float32),
         np.ones((1, 1, 1), dtype=np.float32), 0)

@@ -136,6 +136,33 @@ def test_rwe_too_large_is_data_error(tmp_path, capsys, size):
     assert code == 3
     assert err.startswith("error: data:") and err.count("\n") == 1
 
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("command", ["rwe", "decompress"])
+def test_failed_command_leaves_output_alone(tmp_path, capsys, command, existing):
+    # rwe: a 2**50-element projection, which numpy refuses. decompress: a
+    # vocabulary token with a space, which word2vec text cannot carry.
+    out = tmp_path / "out"
+    if command == "rwe":
+        argv = ["rwe", "--rows", "4", "--cols", "4", "--projection-dim", str(2**48)]
+    else:
+        e = EmbeddingMatrix(np.random.default_rng(0).normal(size=(4, 2)).astype(np.float32))
+        (tmp_path / "c.gpqe").write_bytes(codec.encode(
+            gpq_compress(e, PartitionScheme(PartitionKind.UNIFIED, 1), 2, seed=0)))
+        (tmp_path / "vocab.txt").write_text("a\nb c\nd\ne\n")
+        argv = ["decompress", "--input", str(tmp_path / "c.gpqe"), "--format", "w2v",
+                "--vocab", str(tmp_path / "vocab.txt")]
+    if existing:
+        out.write_bytes(b"kept")
+    before = sorted(tmp_path.iterdir())
+    code, _, err = run(capsys, *argv, "-o", str(out))
+    assert code == 3
+    assert err.startswith("error: data:") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+    if existing:
+        assert out.read_bytes() == b"kept"
+
+
 def test_sweep_ordered_output(tmp_path, capsys, w2v_file):
     src, _ = w2v_file
     code, stdout, _ = run(capsys, "sweep", "--input", str(src),

@@ -19,16 +19,13 @@ from hypothesis import strategies as st
 from gpq import (EmbeddingMatrix, PartitionKind, PartitionScheme, embio, encode,
                  gpq_compress, pq_compress)
 from gpq.cli import build_parser, main
+from test_codec import HEADER_FIELDS
 
 ROWS, COLS = 16, 4
 MATRIX = EmbeddingMatrix(np.random.default_rng(0).normal(size=(ROWS, COLS)).astype(np.float32),
                          [f"t{i}" for i in range(ROWS)])
 CONTAINERS = [encode(compress(MATRIX, PartitionScheme(kind, 2), 3, seed=1))
               for compress in (pq_compress, gpq_compress) for kind in PartitionKind]
-
-# (offset, struct code) of every header field after the magic
-HEADER_FIELDS = [(4, "B"), (5, "B"), (6, "Q"), (14, "I"), (18, "I"), (22, "I"),
-                 (26, "B"), (27, "Q")]
 
 
 def _files() -> dict[str, bytes]:

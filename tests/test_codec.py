@@ -31,8 +31,7 @@ def random_quantized(rng, rows=None, cols=None, c=None, kind=None, with_vars=Non
     vars_ = (np.abs(rng.normal(size=(scheme.blocks, c, sub))).astype(np.float32)
              if with_vars else None)
     index = rng.integers(0, c, size=(rows, g)).astype(np.uint32)
-    return QuantizedEmbedding(scheme, rows, cols, c, index,
-                              means, vars_, int(rng.integers(0, 2**63)))
+    return QuantizedEmbedding(scheme, index, means, vars_, int(rng.integers(0, 2**63)))
 
 
 class TestBitPacking:
@@ -141,7 +140,7 @@ class TestContainer:
         with pytest.raises(FormatError, match=f"non-finite {table}"):
             decode(data)
         with pytest.raises(DataError, match=f"non-finite {table}"):
-            QuantizedEmbedding(PartitionScheme(PartitionKind.UNIFIED, 1), 2, 2, 2,
+            QuantizedEmbedding(PartitionScheme(PartitionKind.UNIFIED, 1),
                                np.array([[1], [0]], dtype=np.uint32), books[0], books[1], 0)
 
     def test_round_trip_preserves_seed_and_flags(self):
@@ -158,7 +157,24 @@ class TestContainer:
     def test_seed_outside_header_range_rejected(self, seed):
         q = random_quantized(np.random.default_rng(9))
         with pytest.raises(DataError, match="seed"):
-            encode(dataclasses.replace(q, seed=seed))
+            dataclasses.replace(q, seed=seed)
+
+    @pytest.mark.parametrize("rows, c, match", [(0, 2, "empty matrix"), (2, 0, "cluster count")])
+    def test_no_rows_or_clusters_rejected(self, rows, c, match):
+        with pytest.raises(DataError, match=match):
+            QuantizedEmbedding(PartitionScheme(PartitionKind.STRUCTURED, 2),
+                               np.zeros((rows, 2), dtype=np.uint32),
+                               np.zeros((2, c, 1), dtype=np.float32), None, 0)
+
+    @pytest.mark.parametrize("unknown", [0x04, 0x80])
+    def test_unknown_flag_bits_rejected(self, unknown):
+        # unified, g=1, c=2 (1-bit indices), with a valid CRC
+        means = np.zeros((1, 2, 2), dtype=np.float32)
+        header = struct.pack("<4sBBQIIIBQ", b"GPQE", 1, 0x02 | unknown, 2, 2, 1, 2, 32, 0)
+        body = header + means.tobytes() + pack_indices(np.array([1, 0], dtype=np.uint32), 1)
+        data = body + struct.pack("<I", zlib.crc32(body))
+        with pytest.raises(FormatError, match="flag"):
+            decode(data)
 
     def test_encoding_deterministic(self):
         rng = np.random.default_rng(8)
@@ -171,6 +187,30 @@ class TestContainer:
         rng = np.random.default_rng(seed)
         q = random_quantized(rng)
         assert decode(encode(q)) == q
+
+
+# (offset, struct code) of every header field after the magic
+HEADER_FIELDS = [(4, "B"), (5, "B"), (6, "Q"), (14, "I"), (18, "I"), (22, "I"),
+                 (26, "B"), (27, "Q")]
+
+
+@given(st.integers(0, 2**32), st.sampled_from(HEADER_FIELDS),
+       st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1)))
+@settings(max_examples=200, deadline=None)
+def test_decodes_only_what_encodes_back(seed, field, value):
+    # one header field rewritten under a valid CRC: whatever still decodes
+    # is a QuantizedEmbedding that encodes back to the same bytes. A c = 1
+    # container stores no index bits, so its length does not bound the rows
+    # field, and the index matrix it describes may not fit in memory.
+    data = bytearray(encode(random_quantized(np.random.default_rng(seed))))
+    offset, code = field
+    struct.pack_into("<" + code, data, offset, value % 2 ** (8 * struct.calcsize(code)))
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    try:
+        q = decode(bytes(data))
+    except (FormatError, MemoryError):
+        return
+    assert encode(q) == data
 
 
 def sha256(data) -> str:

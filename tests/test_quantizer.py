@@ -22,22 +22,23 @@ class TestPartition:
     def test_structured(self):
         e = emb(np.arange(8).reshape(2, 4))
         blocks = partition(e, PartitionScheme(STRUCT, 2))
-        assert len(blocks) == 2
+        assert blocks.shape == (2, 2, 2)
         assert np.array_equal(blocks[0], [[0, 1], [4, 5]])
         assert np.array_equal(blocks[1], [[2, 3], [6, 7]])
+        assert np.shares_memory(blocks, e.values)
 
     def test_unified(self):
         e = emb(np.arange(8).reshape(2, 4))
         stacked = partition(e, PartitionScheme(UNIFIED, 2))
-        assert stacked.shape == (4, 2)
-        assert np.array_equal(stacked, [[0, 1], [4, 5], [2, 3], [6, 7]])
+        assert stacked.shape == (1, 4, 2)
+        assert np.array_equal(stacked[0], [[0, 1], [4, 5], [2, 3], [6, 7]])
 
     @pytest.mark.parametrize("kind", [STRUCT, UNIFIED])
     def test_single_group_identity(self, kind):
         e = emb(np.arange(8).reshape(2, 4))
         got = partition(e, PartitionScheme(kind, 1))
-        block = got[0] if kind is STRUCT else got
-        assert np.array_equal(block, e.values)
+        assert got.shape == (1, 2, 4)
+        assert np.array_equal(got[0], e.values)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -45,9 +46,7 @@ class TestPartition:
         blocks = partition(e, PartitionScheme(STRUCT, 4))
         assert np.array_equal(np.hstack(blocks), e.values)
         stacked = partition(e, PartitionScheme(UNIFIED, 4))
-        unstacked = [stacked[i * 6:(i + 1) * 6] for i in range(4)]
-        for a, b in zip(unstacked, blocks):
-            assert np.array_equal(a, b)
+        assert np.array_equal(stacked.reshape(blocks.shape), blocks)
 
     def test_non_dividing_groups(self):
         with pytest.raises(DataError, match="does not divide"):
@@ -128,12 +127,8 @@ class TestReconstruct:
             frob = np.sum((e.values.astype(np.float64) - recon.values) ** 2)
             from gpq.kmeans import kmeans_best_of
             from gpq.rng import derive_seed
-            if kind is STRUCT:
-                obj = sum(
-                    kmeans_best_of(b, 5, derive_seed(2, i), 2).objective
-                    for i, b in enumerate(partition(e, q.scheme)))
-            else:
-                obj = kmeans_best_of(partition(e, q.scheme), 5, derive_seed(2, 0), 2).objective
+            obj = sum(kmeans_best_of(b, 5, derive_seed(2, i), 2).objective
+                      for i, b in enumerate(partition(e, q.scheme)))
             assert frob == pytest.approx(obj, rel=1e-5)
 
     def test_sample_zero_variance_equals_mean(self, four_by_four):
@@ -206,3 +201,9 @@ class TestSizeReport:
         for c in (1, 2, 3, 50, 63, 64, 1024):
             rep = compute_size_report(100, 16, PartitionScheme(STRUCT, 4), min(c, 100), False)
             assert rep.storable_bits >= rep.theoretical_bits
+
+    @pytest.mark.parametrize("rows, cols, c", [(10, 4, 0), (10, 4, -1), (10, 0, 2), (0, 4, 2)])
+    def test_numbers_no_container_carries_rejected(self, rows, cols, c):
+        from gpq import compute_size_report
+        with pytest.raises(DataError):
+            compute_size_report(rows, cols, PartitionScheme(STRUCT, 2), c, False)
