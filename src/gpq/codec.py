@@ -3,7 +3,8 @@
 Layout: 35-byte header, codebook means (LE binary32), variances if
 flagged, then the index matrix packed word-major/group-major at
 ceil(log2 c) bits per entry, MSB-first, zero-padded to a byte boundary
-only at the end of the whole index section, then CRC-32 (ISO-HDLC, LE)
+only at the end of the whole index section (decode rejects a set padding
+bit, so each container has one encoding), then CRC-32 (ISO-HDLC, LE)
 over everything preceding it. The payload between header and CRC is
 exactly storable_bits/8 bytes.
 """
@@ -11,6 +12,7 @@ exactly storable_bits/8 bytes.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -95,6 +97,12 @@ def decode(data: bytes) -> QuantizedEmbedding:
             raise FormatError("trailing bytes after container")
         if zlib.crc32(data[:-4]) != struct.unpack_from("<I", data, expected - 4)[0]:
             raise FormatError("CRC mismatch")
+        # a c = 1 container stores no index bits, so its length does not bound rows
+        if rows * groups * 4 > sys.maxsize:
+            raise FormatError(f"index matrix of {rows} x {groups} entries is not addressable")
+        pad = -(rows * groups * index_bit_width(clusters)) % 8
+        if data[-5] & ((1 << pad) - 1):
+            raise FormatError("non-zero padding bits after the index section")
 
         shape = (2 if has_vars else 1, scheme.blocks, clusters, cols // groups)
         books = np.frombuffer(data, dtype="<f4", count=np.prod(shape),

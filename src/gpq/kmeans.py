@@ -9,35 +9,41 @@ improves by 1e-6 of itself or less, as it does when no assignment changes.
 Each Lloyd iteration assigns every point to its nearest centroid with one
 of two kernels, chosen from the point dimension d alone:
 
-- d == 1: the points are sorted once, before the loop. In one dimension
+- d == 1: the points are sorted once, after seeding. In one dimension
   every cluster is a contiguous run of sorted points, so an iteration
-  sorts the c centroids, binary-searches the midpoints between
-  neighbouring centroids into the sorted points and expands the run
-  lengths into labels: O(c log m) search plus O(m) label scatter, with
-  no temporary larger than the points themselves.
+  sorts the c centroids and binary-searches the midpoints between
+  neighbouring centroids into the sorted points: O(c log m), and the c+1
+  run edges are the whole assignment. Counts are run lengths, means sum
+  each run (np.add.reduceat), and the objective squares the residuals in
+  one contiguous pass over a buffer allocated once. Labels are scattered
+  to input order only after the loop, or when a cluster is empty (fewer
+  distinct values than clusters), where the update runs as for d > 1.
 - d > 1: argmin of ||c||^2 - 2 x.c over blocks of _CHUNK_ROWS points, so
-  no temporary is larger than O(_CHUNK_ROWS * c).
+  no temporary is larger than O(_CHUNK_ROWS * c). The update is one
+  statistics pass: per-cluster counts and sums by np.bincount, and one
+  residual whose squares give the objective.
 
 Both kernels resolve ties to the lowest centroid index, and neither the
 kernel nor the block size is a setting: both follow from the shape of the
-points, so results stay a pure function of the three inputs above. The
-update is one statistics pass: per-cluster counts and sums by
-np.bincount, and one residual whose squares give the objective and, after
-the last iteration, the variances.
+points, so results stay a pure function of the three inputs above. After
+the loop, both take the means, objective and variances from the labels in
+input order by np.bincount, so d == 1 returns what the d > 1 update would,
+bit for bit.
 
 Seeding keeps three m-long arrays: the content hashes, the squared
 distance d2 to the nearest chosen center, and one column-major copy of
-the points (a view when d == 1). Each of the c steps scores the keys over
-blocks of _CHUNK_ROWS points and takes the winner across blocks by strict
-<, so ties go to the lowest index as one argmin would; it then updates d2
-block by block, summing (column_j - center_j)^2 in coordinate order. That
+the points (a view when d == 1), plus block buffers allocated once per
+call, into which each step mixes hashes, draws keys and computes
+distances in place. Each of the c steps scores the keys over blocks of
+_CHUNK_ROWS points and takes the winner across blocks by strict <, so
+ties go to the lowest index as one argmin would; it then updates d2 block
+by block, summing (column_j - center_j)^2 in coordinate order. That
 sequential sum equals numpy's row sum for d < 8; above, where numpy sums
 pairwise, the two may differ by an ulp.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,22 +65,42 @@ class ClusterResult:
     iterations: int
 
 
-def _to_uniform_open(u64: np.ndarray) -> np.ndarray:
-    # (0, 1); strictly positive so exponential keys stay finite and nonzero
-    return ((u64 >> np.uint64(11)).astype(np.float64) + 0.5) / 9007199254740992.0
+def _to_uniform_open(u64: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(0, 1) uniforms from the top 53 bits of u64, written into out; u64 is
+    overwritten. Strictly positive, so exponential keys stay finite and
+    nonzero."""
+    np.right_shift(u64, np.uint64(11), out=u64)
+    # the cast is exact below 2^53, and int64 casts faster than uint64
+    np.add(u64.view(np.int64), 0.5, out=out)
+    out *= 2.0**-53  # exact, as dividing by 2^53 is
+    return out
 
 
-def _race(hashes: np.ndarray, salt: int,
-          d2: np.ndarray | None = None) -> tuple[int, float]:
+def _race_buffers(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block buffers of _race over m points: two uint64 and one float64."""
+    rows = min(m, _CHUNK_ROWS)
+    return np.empty(rows, dtype=np.uint64), np.empty(rows, dtype=np.uint64), np.empty(rows)
+
+
+def _race(hashes: np.ndarray, salt: int, d2: np.ndarray | None,
+          buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[int, float]:
     """(index, key) of the smallest exponential-race key, scored over blocks
-    of _CHUNK_ROWS points; uniform keys when d2 is None."""
+    of _CHUNK_ROWS points in the buffers of _race_buffers; uniform keys when
+    d2 is None."""
+    bits, tmp, keys = buffers
     salt = np.uint64(salt)
     best, best_key = 0, np.inf
     for lo in range(0, hashes.size, _CHUNK_ROWS):
-        key = _to_uniform_open(mix64(hashes[lo:lo + _CHUNK_ROWS] ^ salt))
+        n = min(_CHUNK_ROWS, hashes.size - lo)
+        u = np.bitwise_xor(hashes[lo:lo + n], salt, out=bits[:n])
+        key = _to_uniform_open(mix64(u, tmp[:n]), out=keys[:n])
         if d2 is not None:
+            # -log1p(-u) / d2, in place
+            np.negative(key, out=key)
+            np.log1p(key, out=key)
+            np.negative(key, out=key)
             with np.errstate(divide="ignore"):
-                key = -np.log1p(-key) / d2[lo:lo + _CHUNK_ROWS]
+                np.divide(key, d2[lo:lo + n], out=key)
         i = int(np.argmin(key))
         if key[i] < best_key:  # strict: ties keep the lower block
             best, best_key = lo + i, key[i]
@@ -96,24 +122,27 @@ def _init_plus_plus(pts: np.ndarray, c: int, seed: int) -> np.ndarray:
     for lo in range(0, m, _CHUNK_ROWS):
         hashes[lo:lo + _CHUNK_ROWS] = row_hashes(pts[lo:lo + _CHUNK_ROWS], seed)
     d2 = np.full(m, np.inf)
+    buffers = _race_buffers(m)
+    near, term = np.empty((2, buffers[2].size))
     centers = np.empty((c, d), dtype=np.float64)
     for step in range(c):
         salt = derive_seed(seed, step)
-        idx, key = _race(hashes, salt, d2 if step else None)
+        idx, key = _race(hashes, salt, d2 if step else None, buffers)
         if not np.isfinite(key):
             # fewer distinct points than centers: fall back to uniform
-            idx, _ = _race(hashes, salt)
+            idx, _ = _race(hashes, salt, None, buffers)
         centers[step] = pts[idx]
         center = centers[step].tolist()
         for lo in range(0, m, _CHUNK_ROWS):
             block = cols[:, lo:lo + _CHUNK_ROWS]
-            nd2 = block[0] - center[0]
+            n = block.shape[1]
+            nd2 = np.subtract(block[0], center[0], out=near[:n])
             nd2 *= nd2
             for j in range(1, d):
-                t = block[j] - center[j]
+                t = np.subtract(block[j], center[j], out=term[:n])
                 t *= t
                 nd2 += t
-            np.minimum(d2[lo:lo + _CHUNK_ROWS], nd2, out=d2[lo:lo + _CHUNK_ROWS])
+            np.minimum(d2[lo:lo + n], nd2, out=d2[lo:lo + n])
     return centers
 
 
@@ -132,9 +161,10 @@ def _assign_dense(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assign_sorted(xs: np.ndarray, order: np.ndarray,
-                   centroids: np.ndarray) -> np.ndarray:
-    """Nearest-centroid labels of 1-D points given sorted, xs = x[order]."""
+def _assign_sorted(xs: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroids of sorted 1-D points xs as runs (labels, edges):
+    cluster labels[i] holds xs[edges[i]:edges[i + 1]]. labels lists each
+    distinct centroid once, in ascending order of value."""
     rank = np.argsort(centroids[:, 0], kind="stable")
     cs = centroids[rank, 0]
     # of equal centroids, the first in stable order has the lowest index
@@ -146,9 +176,14 @@ def _assign_sorted(xs: np.ndarray, order: np.ndarray,
                       np.searchsorted(xs, mid, side="right"),
                       np.searchsorted(xs, mid, side="left"))
     # adjacent doubles can round to one midpoint; keep every run length >= 0
-    runs = np.diff(np.maximum.accumulate(bounds), prepend=0, append=xs.size)
-    out = np.empty(xs.size, dtype=np.intp)
-    out[order] = np.repeat(labels, runs)
+    return labels, np.concatenate(([0], np.maximum.accumulate(bounds), [xs.size]))
+
+
+def _run_labels(order: np.ndarray, labels: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Input-order labels of the runs (labels, edges) over the points sorted
+    by order: one scatter."""
+    out = np.empty(order.size, dtype=np.intp)
+    out[order] = np.repeat(labels, np.diff(edges))
     return out
 
 
@@ -173,6 +208,79 @@ def _repair_empty(pts, assign, centroids, counts):
         assign[donor] = k
 
 
+class _Labels:
+    """Lloyd state as one label per point in input order; the d > 1 kernel.
+    After update, centroids holds the means and sq_resid each point's
+    squared residual per dimension."""
+
+    def __init__(self, pts: np.ndarray):
+        self.pts = pts
+
+    def nearest(self, centroids: np.ndarray) -> np.ndarray:
+        """Assign every point to its nearest centroid; returns the counts.
+        When one is zero, labels holds the labels in input order."""
+        self.labels = _assign_dense(self.pts, centroids)
+        return np.bincount(self.labels, minlength=centroids.shape[0])
+
+    def update(self, counts: np.ndarray) -> tuple[np.ndarray, float]:
+        """(centroids, objective) of the current labels."""
+        self.centroids = _cluster_means(self.labels, self.pts, counts)
+        self.sq_resid = self.pts - self.centroids[self.labels]
+        self.sq_resid *= self.sq_resid
+        self.objective = float(np.sum(self.sq_resid))
+        return self.centroids, self.objective
+
+    def finish(self, counts: np.ndarray) -> None:
+        """Make labels, centroids, sq_resid and objective those of the last
+        iteration in input order."""
+
+
+class _Runs(_Labels):
+    """Lloyd state of the d == 1 kernel. The points are sorted once, so
+    every cluster is a run of them: nearest() keeps (labels, edges) from
+    _assign_sorted, update() sums runs in sorted order and squares the
+    residuals in one contiguous pass over a buffer allocated once. Labels
+    reach input order, by one scatter, only when a cluster is empty, and
+    in finish(), which recomputes the means in input order as the dense
+    kernel sums them."""
+
+    def __init__(self, pts: np.ndarray):
+        super().__init__(pts)
+        # unstable is fine: run edges never split equal values, so the
+        # labels do not depend on how the sort orders them
+        self.order = np.argsort(pts[:, 0])
+        self.xs = pts[self.order, 0]
+        self.resid = np.empty_like(self.xs)
+
+    def nearest(self, centroids: np.ndarray) -> np.ndarray:
+        self.run_labels, self.edges = _assign_sorted(self.xs, centroids)
+        counts = np.zeros(centroids.shape[0], dtype=np.intp)
+        counts[self.run_labels] = np.diff(self.edges)
+        # to be repaired, and then updated, in input order
+        self.labels = (None if counts.all() else
+                       _run_labels(self.order, self.run_labels, self.edges))
+        return counts
+
+    def update(self, counts: np.ndarray) -> tuple[np.ndarray, float]:
+        if self.labels is not None:
+            return super().update(counts)
+        # no cluster is empty, so every label has one run of at least a point
+        lo, hi = self.edges[:-1], self.edges[1:]
+        means = np.add.reduceat(self.xs, lo) / (hi - lo)
+        for a, b, mean in zip(lo.tolist(), hi.tolist(), means.tolist()):
+            np.subtract(self.xs[a:b], mean, out=self.resid[a:b])
+        self.resid *= self.resid
+        self.centroids = np.empty((counts.size, 1))
+        self.centroids[self.run_labels, 0] = means
+        return self.centroids, float(np.sum(self.resid))
+
+    def finish(self, counts: np.ndarray) -> None:
+        if self.labels is None:
+            self.xs = self.resid = None  # freed before the scatter and the dense pass
+            self.labels = _run_labels(self.order, self.run_labels, self.edges)
+            super().update(counts)
+
+
 def kmeans(points, c: int, seed: int) -> ClusterResult:
     """Lloyd iterations from k-means++ seeding, a pure function of (points,
     c, seed). Stops after DEFAULT_MAX_ITER iterations or once the objective
@@ -189,30 +297,22 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
     if not np.all(np.isfinite(pts)):
         raise DataError("points contain non-finite values")
 
-    if d == 1:
-        order = np.argsort(pts[:, 0], kind="stable")
-        nearest = functools.partial(_assign_sorted, pts[order, 0], order)
-    else:
-        nearest = functools.partial(_assign_dense, pts)
-
     centroids = _init_plus_plus(pts, c, seed)
+    state = _Runs(pts) if d == 1 else _Labels(pts)
     prev_obj = np.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        assign = nearest(centroids)
-        counts = np.bincount(assign, minlength=c)
+        counts = state.nearest(centroids)
         if not counts.all():
-            _repair_empty(pts, assign, centroids, counts)
-        centroids = _cluster_means(assign, pts, counts)
-        sq_resid = pts - centroids[assign]
-        sq_resid *= sq_resid
-        obj = float(np.sum(sq_resid))
+            _repair_empty(pts, state.labels, centroids, counts)
+        centroids, obj = state.update(counts)
         assert obj <= prev_obj * (1.0 + 1e-12) + 1e-300
         if np.isfinite(prev_obj) and prev_obj - obj <= DEFAULT_REL_TOL * prev_obj:
             break
         prev_obj = obj
 
-    variances = _cluster_means(assign, sq_resid, counts)
-    return ClusterResult(centroids, variances, assign, obj, it)
+    state.finish(counts)
+    variances = _cluster_means(state.labels, state.sq_resid, counts)
+    return ClusterResult(state.centroids, variances, state.labels, state.objective, it)
 
 
 def kmeans_best_of(points, c: int, seed: int, restarts: int = 1) -> ClusterResult:

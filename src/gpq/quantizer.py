@@ -62,9 +62,10 @@ class QuantizedEmbedding:
     codebook_means has shape (blocks, c, n/g), with blocks and the
     codebook each group reads given by PartitionScheme.blocks.
     codebook_vars, when present, is shape-identical and carries
-    per-dimension intra-cluster variances. rows, cols and clusters come
-    from the arrays' shapes. Construction raises DataError unless a GPQE
-    container can carry the value.
+    per-dimension intra-cluster variances. The index is uint32 and the
+    codebooks float32, so they hold what a container holds. rows, cols and
+    clusters come from the arrays' shapes. Construction raises DataError
+    unless a GPQE container can carry the value.
     """
 
     scheme: PartitionScheme
@@ -75,6 +76,11 @@ class QuantizedEmbedding:
 
     def __post_init__(self):
         g, blocks = self.scheme.groups, self.scheme.blocks
+        if self.index_matrix.dtype != np.uint32:
+            raise DataError(f"index matrix dtype {self.index_matrix.dtype} is not uint32")
+        for name, table in (("codebook", self.codebook_means), ("variance", self.codebook_vars)):
+            if table is not None and table.dtype != np.float32:
+                raise DataError(f"{name} dtype {table.dtype} is not float32")
         if self.index_matrix.ndim != 2 or self.index_matrix.shape[1] != g:
             raise DataError(f"index matrix shape {self.index_matrix.shape} != (rows, {g})")
         if self.codebook_means.ndim != 3 or self.codebook_means.shape[0] != blocks:

@@ -18,16 +18,22 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / 9007199254740992.0
 
 
-def mix64(x):
+def mix64(x, tmp=None):
     """splitmix64 finalizer, elementwise over uint64 arrays or scalars.
-    uint64 arithmetic wraps mod 2^64 by design."""
+    uint64 arithmetic wraps mod 2^64 by design. Given tmp, a uint64
+    array of x's shape for the shifted terms, x must be a uint64 array and
+    is mixed in place, so nothing is allocated."""
     with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64).copy()
-        z ^= z >> np.uint64(30)
+        if tmp is None:
+            z = np.array(x, dtype=np.uint64)
+            tmp = np.empty_like(z)
+        else:
+            z = x
+        z ^= np.right_shift(z, np.uint64(30), out=tmp)
         z *= _MIX1
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=tmp)
         z *= _MIX2
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=tmp)
         return z
 
 

@@ -324,16 +324,19 @@ def test_compress_deterministic(tmp_path, capsys, w2v_file):
 
 
 def test_compress_bytes_independent_of_blas_threads(tmp_path):
-    # 40000 rows x 4 groups = 160000 stacked 2-D points: several dense blocks
-    rows, cols, groups = 40000, 8, 4
-    assert rows * groups > _CHUNK_ROWS
+    # unified over 40000 rows: 4 groups stack 160000 2-D points, several
+    # dense blocks; 8 groups stack 320000 1-D points for the sorted kernel
+    rows, cols = 40000, 8
     src = tmp_path / "in.raw"
     src.write_bytes(np.random.default_rng(5).normal(size=(rows, cols)).astype("<f4").tobytes())
-    containers = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.gpqe"
-        cli_process("compress", "--input", str(src), "--format", "raw", "--rows", str(rows),
-                    "--cols", str(cols), "-g", str(groups), "-c", "16", "--seed", "1",
-                    "-o", str(out), OPENBLAS_NUM_THREADS=threads).check_returncode()
-        containers.append(out.read_bytes())
-    assert containers[0] == containers[1]
+    for groups in (4, 8):
+        assert rows * groups > _CHUNK_ROWS
+        containers = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"g{groups}threads{threads}.gpqe"
+            cli_process("compress", "--input", str(src), "--format", "raw", "--rows", str(rows),
+                        "--cols", str(cols), "--scheme", "unified", "-g", str(groups),
+                        "-c", "16", "--seed", "1", "-o", str(out),
+                        OPENBLAS_NUM_THREADS=threads).check_returncode()
+            containers.append(out.read_bytes())
+        assert containers[0] == containers[1], groups

@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpq import (DataError, EmbeddingMatrix, FormatError, PartitionKind, PartitionScheme,
@@ -176,6 +176,33 @@ class TestContainer:
         with pytest.raises(FormatError, match="flag"):
             decode(data)
 
+    def test_set_padding_bit_rejected(self):
+        # unified, g=1, c=2 (1-bit indices): 7 rows leave one padding bit
+        means = np.zeros((1, 2, 2), dtype=np.float32)
+        header = struct.pack("<4sBBQIIIBQ", b"GPQE", 1, 0x02, 7, 2, 1, 2, 32, 0)
+        index = pack_indices(np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint32), 1)
+        for last in (index[-1], index[-1] | 1):
+            body = header + means.tobytes() + index[:-1] + bytes([last])
+            data = body + struct.pack("<I", zlib.crc32(body))
+            if last == index[-1]:
+                assert encode(decode(data)) == data
+            else:
+                with pytest.raises(FormatError, match="padding"):
+                    decode(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("codebook_means", 0.1),   # rounds when stored as binary32
+        ("codebook_means", 1e39),  # beyond binary32: encode would write inf
+        ("codebook_vars", 0.1),
+        ("index_matrix", 1),
+    ])
+    def test_wrong_dtype_rejected(self, field, value):
+        q = random_quantized(np.random.default_rng(4), c=2, with_vars=True)
+        table = np.full(getattr(q, field).shape, value,
+                        dtype=np.int64 if field == "index_matrix" else np.float64)
+        with pytest.raises(DataError, match="dtype"):
+            dataclasses.replace(q, **{field: table})
+
     def test_encoding_deterministic(self):
         rng = np.random.default_rng(8)
         q = random_quantized(rng)
@@ -196,6 +223,8 @@ HEADER_FIELDS = [(4, "B"), (5, "B"), (6, "Q"), (14, "I"), (18, "I"), (22, "I"),
 
 @given(st.integers(0, 2**32), st.sampled_from(HEADER_FIELDS),
        st.one_of(st.integers(0, 8), st.integers(0, 2**64 - 1)))
+@example(seed=8842, field=(6, "Q"), value=1)  # 7 rows to 1 moves index bits into the padding
+@example(seed=13641, field=(6, "Q"), value=230_584_300_921_369_396)  # c = 1: no index bits
 @settings(max_examples=200, deadline=None)
 def test_decodes_only_what_encodes_back(seed, field, value):
     # one header field rewritten under a valid CRC: whatever still decodes

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gpq import DataError, kmeans, kmeans_best_of
-from gpq.kmeans import _CHUNK_ROWS, _assign_dense, _assign_sorted, _init_plus_plus, _race
+from gpq.kmeans import (_CHUNK_ROWS, _assign_dense, _assign_sorted, _init_plus_plus, _race,
+                        _race_buffers, _run_labels)
 from gpq.rng import row_hashes
 
 from _oracles import (brute_force_kmeans_objective, brute_force_nearest, brute_force_plus_plus,
@@ -158,6 +159,48 @@ def test_matches_plain_lloyd(d):
     assert repairs > 0
 
 
+@pytest.mark.parametrize("trial", range(9))
+def test_sorted_kernel_matches_plain_lloyd_at_scale(trial):
+    # m of a few thousand float32 values and c up to 64, in three kinds:
+    # halves from -8 to 8 (33 distinct values, so c may exceed them and
+    # empty clusters are repaired), quarters from -10 to 10 (repeats, and
+    # points on midpoints between centroids), and Gaussian values. Labels
+    # and iterations must be equal. Means may sum in another order than
+    # plain_lloyd's, so centroids may differ by m float64 ulps of the largest
+    # value, and the objective by m ulps of itself.
+    rng = np.random.default_rng([7, trial])
+    m, c = int(rng.integers(2000, 5000)), int(rng.integers(2, 65))
+    kind = trial % 3
+    if kind == 0:
+        pts = rng.integers(-16, 17, size=(m, 1)) / 2
+    elif kind == 1:
+        pts = rng.integers(-40, 41, size=(m, 1)) / 4
+    else:
+        pts = rng.normal(size=(m, 1))
+    pts = pts.astype(np.float32)
+    res = kmeans(pts, c, seed=trial)
+    labels, centroids, objective, iterations, _ = plain_lloyd(pts, c, trial)
+    assert np.array_equal(res.assignments, labels)
+    assert res.iterations == iterations
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(res.centroids - centroids) <= m * eps * float(np.abs(pts).max()))
+    assert abs(res.objective - objective) <= m * eps * objective
+
+
+def test_sorted_kmeans_memory_bound():
+    # the 1-D kernel may not buy speed with memory: at paper size m is 16.4M,
+    # and each m-long float64 array is 125 MiB of RSS
+    m = 4 * _CHUNK_ROWS
+    pts = np.random.default_rng(0).normal(size=(m, 1))
+    tracemalloc.start()
+    try:
+        kmeans(pts, 50, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * m * 8
+
+
 @pytest.mark.xfail(raises=AssertionError, strict=True,
                    reason="the mean of three equal float64 values can round, so the objective "
                           "of pure clusters rises by rounding noise, past the monotonicity "
@@ -168,7 +211,7 @@ def test_float64_duplicates_more_clusters_than_distinct():
 
 def sorted_nearest(pts, centroids):
     order = np.argsort(pts[:, 0], kind="stable")
-    return _assign_sorted(pts[order, 0], order, centroids)
+    return _run_labels(order, *_assign_sorted(pts[order, 0], centroids))
 
 
 @pytest.mark.parametrize("pts,centroids", [
@@ -247,11 +290,11 @@ def test_race_ties_go_to_lowest_index(monkeypatch, weighted):
     hashes = row_hashes(pts, 0)
     d2 = (pts[:, 0] - 4.0) ** 2 if weighted else None
     for salt in range(20):
-        whole = _race(hashes, salt, d2)  # one block at the default size
+        whole = _race(hashes, salt, d2, _race_buffers(7))  # one block at the default size
         assert whole[0] == np.flatnonzero(pts[:, 0] == pts[whole[0], 0])[0]
         for rows in (1, 3):
             monkeypatch.setattr(KMEANS, "_CHUNK_ROWS", rows)
-            assert _race(hashes, salt, d2) == whole
+            assert _race(hashes, salt, d2, _race_buffers(7)) == whole
             monkeypatch.undo()
 
 
