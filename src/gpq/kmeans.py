@@ -9,7 +9,7 @@ improves by 1e-6 of itself or less, as it does when no assignment changes.
 Each Lloyd iteration assigns every point to its nearest centroid with one
 of two kernels, chosen from the point dimension d alone:
 
-- d == 1: the points are sorted once, after seeding. In one dimension
+- d == 1: the points are sorted once, before seeding. In one dimension
   every cluster is a contiguous run of sorted points, so an iteration
   sorts the c centroids and binary-searches the midpoints between
   neighbouring centroids into the sorted points: O(c log m), and the c+1
@@ -30,30 +30,46 @@ the loop, both take the means, objective and variances from the labels in
 input order by np.bincount, so d == 1 returns what the d > 1 update would,
 bit for bit.
 
-Seeding keeps three m-long arrays: the content hashes, the squared
-distance d2 to the nearest chosen center, and one column-major copy of
-the points (a view when d == 1), plus block buffers allocated once per
-call, into which each step mixes hashes, draws keys and computes
-distances in place. Each of the c steps scores the keys over blocks of
-_CHUNK_ROWS points and takes the winner across blocks by strict <, so
-ties go to the lowest index as one argmin would; it then updates d2 block
-by block, summing (column_j - center_j)^2 in coordinate order. That
-sequential sum equals numpy's row sum for d < 8; above, where numpy sums
-pairwise, the two may differ by an ulp.
+k-means++ seeding (D² sampling) also follows d:
+
+- d == 1 seeds from the sorted values, so the centers depend on the
+  multiset of values alone. Step k takes the k-th uniform u in [0, 1) of
+  SplitMix64(seed): step 0 picks sorted index floor(u * m), every later
+  step the first sorted point whose cumulative d2 (squared distance to the
+  nearest chosen center) exceeds u times the total. The cumulative d2 is a
+  running sum of the totals of blocks of _MASS_BLOCK points plus a running
+  sum inside the chosen block, so it adds non-negative terms only and never
+  picks a point of d2 = 0 while the total is positive; at total 0 (fewer
+  distinct values than centers) the pick is uniform, as at step 0. A new
+  center lowers d2 only strictly between its two chosen neighbours, so
+  only those points and their blocks' totals are updated; of the seeding's
+  arrays only d2 grows with m.
+- d > 1 keys every point by its content hash. It keeps three m-long
+  arrays: the hashes, d2, and one column-major copy of the points, plus
+  block buffers allocated once per call, into which each step mixes
+  hashes, draws keys and computes distances in place. Each of the c steps
+  scores exponential-race keys -log(1 - u) / d2 over blocks of
+  _CHUNK_ROWS points and takes the winner across blocks by strict <, so
+  ties go to the lowest index as one argmin would; it then updates d2
+  block by block, summing (column_j - center_j)^2 in coordinate order.
+  That sequential sum equals numpy's row sum for d < 8; above, where
+  numpy sums pairwise, the two may differ by an ulp.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .rng import derive_seed, mix64, row_hashes
+from .rng import SplitMix64, derive_seed, mix64, row_hashes
 
 DEFAULT_MAX_ITER = 100
 DEFAULT_REL_TOL = 1e-6
 _CHUNK_ROWS = 65536  # points per block of seeding and of the dense assignment
+_MASS_BLOCK = 4096  # sorted points per d2 total of d == 1 seeding
 
 
 @dataclass(frozen=True)
@@ -143,6 +159,50 @@ def _init_plus_plus(pts: np.ndarray, c: int, seed: int) -> np.ndarray:
                 t *= t
                 nd2 += t
             np.minimum(d2[lo:lo + n], nd2, out=d2[lo:lo + n])
+    return centers
+
+
+def _seed_sorted(xs: np.ndarray, c: int, seed: int) -> np.ndarray:
+    """(c, 1) k-means++ centers of the ascending 1-D values xs, picked by
+    D² mass over the sorted order (see the module docstring)."""
+    m, block = xs.size, _MASS_BLOCK
+    d2 = np.full(-(-m // block) * block, np.inf)
+    d2[m:] = 0.0  # padding to whole blocks carries no mass
+    mass = np.empty(d2.size // block)
+    rows = block * max(1, _CHUNK_ROWS // block)  # whole blocks per update pass
+    buf = np.empty(min(rows, d2.size))
+    chosen: list[float] = []  # distinct center values, ascending
+    centers = np.empty((c, 1))
+    total = 0.0
+    for step, u in enumerate(SplitMix64(seed).uniforms(c).tolist()):
+        if not total > 0:
+            idx = int(u * m)  # step 0, or fewer distinct values than centers; u * m < m
+        else:
+            # an overflowed total is reached, not exceeded
+            target, side = (u * total, "right") if total < np.inf else (total, "left")
+            b = int(np.searchsorted(cum, target, side))
+            run = np.cumsum(d2[b * block:(b + 1) * block], out=buf[:block])
+            run += cum[b - 1] if b else 0.0  # cum[b] is its last entry, bit for bit
+            idx = b * block + int(np.searchsorted(run, target, side))
+        centers[step] = x = float(xs[idx])
+        if step and not total > 0:
+            continue  # every d2 is already 0
+        k = bisect_left(chosen, x)
+        lo = int(np.searchsorted(xs, chosen[k - 1], "right")) if k else 0
+        hi = int(np.searchsorted(xs, chosen[k], "left")) if k < len(chosen) else m
+        chosen.insert(k, x)
+        end = -(-hi // block) * block
+        for s in range(lo // block * block, end, rows):
+            e = min(s + rows, end)
+            p, q = max(lo, s), min(hi, e)
+            near = np.subtract(xs[p:q], x, out=buf[:q - p])
+            near *= near
+            np.minimum(d2[p:q], near, out=d2[p:q])
+            sums = np.cumsum(d2[s:e].reshape(-1, block), axis=1,
+                             out=buf[:e - s].reshape(-1, block))
+            mass[s // block:e // block] = sums[:, -1]
+        cum = np.cumsum(mass)
+        total = float(cum[-1])
     return centers
 
 
@@ -297,8 +357,12 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
     if not np.all(np.isfinite(pts)):
         raise DataError("points contain non-finite values")
 
-    centroids = _init_plus_plus(pts, c, seed)
-    state = _Runs(pts) if d == 1 else _Labels(pts)
+    if d == 1:
+        state = _Runs(pts)
+        centroids = _seed_sorted(state.xs, c, seed)
+    else:
+        state = _Labels(pts)
+        centroids = _init_plus_plus(pts, c, seed)
     prev_obj = np.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
         counts = state.nearest(centroids)

@@ -264,8 +264,8 @@ PINNED = {
         "fa5cb9690aaa853bd334f0f2ab3843b0ac44961ad5be17079814668d8be9f9e9",
         "a272538cbb7f5b8a01d39beeea79d1141d47aa4fd5d752f1c893b0a1a4a5deac",
         None), (
-        "72eb60efc55b9a4a5e0ea3c6f82210c67f80c234fee967165d5ff1dd92607d90",
-        "9562be60c1c7852ac76a1c4a66d8bd19633562fdb68cd1757754040afba6fa56",
+        "26342e1f21854e9d3df01ab65177698a19675b0216763dbedfab9816f36f06e8",
+        "826588010fea0865f6f07dc53f65270895c6d87440e60c3f9884b6a522707e83",
         None), (
         "83fe851a2d511856ce47a0c9c1d5e71412fbc37231862214c3fd31b7902914b0",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
@@ -277,10 +277,10 @@ PINNED = {
         "b77eef1c88906d869533745bf3dc1bda9d6dc906dffcbeebabce0c2a0870f2f5",
         "6316dbfb275dc9d5e96a8d837e0ddc65d925ab2f6c042e64b2a76e2280c1b5a3",
         None), (
-        "e37e8ead712c0d80408d439e02fa8fdfacbf73090b58d051a958c8bd41fc60d0",
-        "7e131d1d49198623445c673cac00870949ddd87f17586da3cc72fe91cf2ff60b",
+        "a76dd213e95744d97ebe7f48ed133cd32686f0540b56acee390dc711d213e64c",
+        "8075475489326ed224bd11bbb04f8ccd96267c72e257f31e26926e4500d1f766",
         None), (
-        "c01d7bd5e2db035ccfe14611fc5a9363b8c16453dcba5115671b0921929f90a9",
+        "8842978f6f0de2907b67d0bf49b284c53e2b76dbdf032517480e00d77b015d59",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         None)),
     ("gpq", "structured"): ((
@@ -290,9 +290,9 @@ PINNED = {
         "f3019156028a2372461d668203018dadaef2f489c898dea32667a3061d3303b6",
         "a272538cbb7f5b8a01d39beeea79d1141d47aa4fd5d752f1c893b0a1a4a5deac",
         "f0f084a68eea5a8ca8b44aa014dc093b96963b53d691302a1862616484d0577c"), (
-        "652cab7d5e05e401733fdb41701a1ccc39fdfd054141b0f287568c7e9f2cacc6",
-        "9562be60c1c7852ac76a1c4a66d8bd19633562fdb68cd1757754040afba6fa56",
-        "63181189f6e6256136f7e3ddbc80bfc75effea6643e8efff28d793f9956c1aba"), (
+        "6c99ab8cf0c733500b7c80f7704726a894a0f35a6a8581d28a2cb4fd3faaea60",
+        "826588010fea0865f6f07dc53f65270895c6d87440e60c3f9884b6a522707e83",
+        "5889572612d9a7785510e65dd39124668b6350c385b6e4ee818342d32ec125db"), (
         "3508e925717e4eb185092d068faf332ecf88bf83298b52a27af38a62529ae2cc",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8")),
@@ -303,10 +303,10 @@ PINNED = {
         "77c18d69bc7243547eb24114c83a08c2b0edfa9517c4df21a9190e9cb091ccb7",
         "6316dbfb275dc9d5e96a8d837e0ddc65d925ab2f6c042e64b2a76e2280c1b5a3",
         "2322f11c29be8f0e0b6fc4c997b764887e3cf02f5b0470a95c03c3cf51c16863"), (
-        "fac02e3ac3cc33af7d56e0aa8865a93981aa35890cb8921572df9cc50793ce45",
-        "7e131d1d49198623445c673cac00870949ddd87f17586da3cc72fe91cf2ff60b",
-        "c7fc91ce4a6617f30e409ce9ce5b972c5c2cb7665f4018c8472b18bdaeddecad"), (
-        "7902148a1e00cbe4f0ebe293c247be5d4a5a197d7f4303fbd6aa899bc921a65f",
+        "3969ee57a794aa9a3ef8255cb788bf94bd3adeb463be351b9109c6e2dc49b03b",
+        "8075475489326ed224bd11bbb04f8ccd96267c72e257f31e26926e4500d1f766",
+        "5653b8421df2fab97796ccd43a06ae2c40a852574ef3096f99d25511c4b6db0d"), (
+        "75d751459a5a660fff721ccad3fbd8b21f7cee901b0bfe8a128aa72e8baf4816",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8")),
 }

@@ -6,11 +6,11 @@ import pytest
 
 from gpq import DataError, kmeans, kmeans_best_of
 from gpq.kmeans import (_CHUNK_ROWS, _assign_dense, _assign_sorted, _init_plus_plus, _race,
-                        _race_buffers, _run_labels)
+                        _race_buffers, _run_labels, _seed_sorted)
 from gpq.rng import row_hashes
 
 from _oracles import (brute_force_kmeans_objective, brute_force_nearest, brute_force_plus_plus,
-                      plain_lloyd)
+                      brute_force_sorted_plus_plus, plain_lloyd)
 
 KMEANS = sys.modules[_init_plus_plus.__module__]  # gpq.kmeans is also a function name
 
@@ -309,3 +309,106 @@ def test_plus_plus_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak < 4 * m * 8
+
+
+@pytest.fixture(params=[None, 1, 3], ids=["default", "block1", "block3"])
+def mass_block(request, monkeypatch):
+    """d2 block size of d == 1 seeding: the module default, or 1 or 3 points."""
+    if request.param is not None:
+        monkeypatch.setattr(KMEANS, "_MASS_BLOCK", request.param)
+    return KMEANS._MASS_BLOCK
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "blocks", "few_distinct", "overflow"])
+def test_sorted_seeding_matches_oracle(mass_block, kind):
+    rng = np.random.default_rng(3)
+    if kind == "duplicates":  # 13 distinct values, many repeated
+        pts, c = rng.integers(-6, 7, size=(60, 1)) / 4, 9
+    elif kind == "blocks":  # three default blocks and a partial one, heavy-tailed
+        pts, c = rng.normal(size=(3 * 4096 + 5, 1)), 12
+        pts *= np.exp(rng.normal(size=pts.shape))
+    elif kind == "few_distinct":  # from step 3 on every d2 is 0
+        pts, c = np.array([[2.5], [-1.0], [2.5], [7.0], [-1.0]] * 4), 8
+    else:  # squares and their sum overflow to inf
+        pts, c = np.array([[-1.5e308], [-1e300], [0.0], [1e200], [1e300], [1.5e308]] * 2), 5
+    with np.errstate(over="ignore"):
+        for seed in range(4):
+            got = _seed_sorted(np.sort(pts[:, 0]), c, seed)
+            assert np.array_equal(got, brute_force_sorted_plus_plus(pts, c, seed, mass_block))
+
+
+def test_sorted_seeding_never_picks_zero_weight(mass_block):
+    # 40 distinct values in runs of 1 to 9 equal points, so runs of d2 = 0
+    # straddle block edges; while any d2 is positive, a pick of d2 = 0 would
+    # repeat a center, so the first 40 centers must be distinct
+    rng = np.random.default_rng(6)
+    xs = np.repeat(np.sort(rng.normal(size=40)), rng.integers(1, 10, size=40))
+    for seed in range(25):
+        got = _seed_sorted(xs, 42, seed)[:, 0]
+        assert np.unique(got[:40]).size == 40
+        assert np.all(np.isin(got[40:], got[:40]))
+
+
+def test_sorted_seeding_skips_zero_weight_at_u_zero(mass_block, monkeypatch):
+    # u = 0 makes the target 0, which a point of d2 = 0 reaches but does not
+    # exceed: each step must take the first point of positive d2, the next
+    # distinct value up
+    class Zeros:
+        def __init__(self, seed):
+            pass
+
+        def uniforms(self, n):
+            return np.zeros(n)
+
+    monkeypatch.setattr(KMEANS, "SplitMix64", Zeros)
+    xs = np.repeat([-2.0, 0.5, 1.0, 4.0, 9.0], [4, 1, 3, 2, 5])
+    assert np.array_equal(_seed_sorted(xs, 5, seed=0)[:, 0], np.unique(xs))
+
+
+def test_sorted_seeding_ignores_row_order(monkeypatch):
+    seeds = []
+
+    def recorded(xs, c, seed):
+        seeds.append(_seed_sorted(xs, c, seed))
+        return seeds[-1]
+
+    monkeypatch.setattr(KMEANS, "_seed_sorted", recorded)
+    rng = np.random.default_rng(12)
+    pts = rng.normal(size=(500, 1)).astype(np.float32)[rng.integers(0, 300, size=500)]
+    perm = rng.permutation(500)
+    a, b = kmeans(pts, 20, seed=4), kmeans(pts[perm], 20, seed=4)
+    assert np.array_equal(seeds[0], seeds[1])
+    assert np.allclose(a.centroids[a.assignments][perm], b.centroids[b.assignments],
+                       rtol=1e-12, atol=0)
+
+
+def test_sorted_seeding_second_center_law():
+    # On six values, over 4000 seeds: the first center is uniform, and given
+    # it the second is value j with probability d2_j / sum(d2). Every count is
+    # within 5 binomial standard deviations of its expectation, a bound fixed
+    # before the test was first run; a center never repeats.
+    xs = np.array([0.0, 1.0, 3.0, 4.0, 10.0, 12.0])
+    counts = np.zeros((6, 6))
+    for seed in range(4000):
+        first, second = _seed_sorted(xs, 2, seed)[:, 0]
+        counts[np.searchsorted(xs, first), np.searchsorted(xs, second)] += 1
+    n = counts.sum(axis=1)
+    assert np.all(np.abs(n - 4000 / 6) <= 5 * np.sqrt(4000 * (1 / 6) * (5 / 6)))
+    d2 = (xs[None, :] - xs[:, None]) ** 2
+    p = d2 / d2.sum(axis=1, keepdims=True)
+    assert np.all(np.abs(counts - n[:, None] * p) <= 5 * np.sqrt(n[:, None] * p * (1 - p)))
+    assert np.all(np.diag(counts) == 0)
+
+
+def test_sorted_seeding_memory_bound():
+    # beside the sorted values, only d2 is m long; the update and the pick
+    # reuse one buffer of at most _CHUNK_ROWS points
+    m = 4 * _CHUNK_ROWS
+    xs = np.sort(np.random.default_rng(0).normal(size=m))
+    tracemalloc.start()
+    try:
+        _seed_sorted(xs, 50, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m * 8
