@@ -9,26 +9,36 @@ improves by 1e-6 of itself or less, as it does when no assignment changes.
 Each Lloyd iteration assigns every point to its nearest centroid with one
 of two kernels, chosen from the point dimension d alone:
 
-- d == 1: the points are sorted once, before seeding. In one dimension
-  every cluster is a contiguous run of sorted points, so an iteration
-  sorts the c centroids and binary-searches the midpoints between
-  neighbouring centroids into the sorted points: O(c log m), and the c+1
-  run edges are the whole assignment. Counts are run lengths, means sum
-  each run (np.add.reduceat), and the objective squares the residuals in
-  one contiguous pass over a buffer allocated once. Labels are scattered
-  to input order only after the loop, or when a cluster is empty (fewer
-  distinct values than clusters), where the update runs as for d > 1.
+- d == 1: the points are sorted once, into a copy, before seeding. In one
+  dimension every cluster is a contiguous run of sorted points, so an
+  iteration sorts the c centroids and binary-searches the midpoints
+  between neighbouring centroids into the sorted points: O(c log m), and
+  the c+1 run edges are the whole assignment. Counts are run lengths. The
+  update reads the sum, mean and M2 (sum of squared deviations from the
+  mean) of every block of B = isqrt(m // c) sorted points, computed once
+  after the sort. A run's sum adds the sums of the blocks wholly inside it
+  to the values of its two ends, the fewer than 2B values outside those
+  blocks. Its SSE adds each such block's M2 plus B times the squared
+  offset of the block mean from the run mean (the pairwise update of Chan,
+  Golub & LeVeque, 1979) to the squared deviations of its ends from the
+  run mean, so no S2 - S1^2/n is ever formed. All runs are done at once,
+  in O(m/B + c B), with no m-long temporary. Labels reach input order, by
+  looking each point's value up among the runs' first values, only after
+  the loop, or when a cluster is empty (fewer distinct values than
+  clusters), where the update runs as for d > 1.
 - d > 1: argmin of ||c||^2 - 2 x.c over blocks of _CHUNK_ROWS points, so
   no temporary is larger than O(_CHUNK_ROWS * c). The update is one
   statistics pass: per-cluster counts and sums by np.bincount, and one
   residual whose squares give the objective.
 
 Both kernels resolve ties to the lowest centroid index, and neither the
-kernel nor the block size is a setting: both follow from the shape of the
-points, so results stay a pure function of the three inputs above. After
-the loop, both take the means, objective and variances from the labels in
-input order by np.bincount, so d == 1 returns what the d > 1 update would,
-bit for bit.
+kernel nor the block sizes are settings: they follow from the shape of the
+points and c, so results stay a pure function of the three inputs above.
+The d == 1 means and variances are those of the last iteration's runs, in
+sorted order. When no iteration had an empty cluster, they depend on the
+multiset of values alone, so a row permutation leaves them bit-identical
+and permutes the assignments. The objective returned sums the squared
+residuals in input order, as the d > 1 update does.
 
 k-means++ seeding (D² sampling) also follows d:
 
@@ -58,6 +68,7 @@ k-means++ seeding (D² sampling) also follows d:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -239,12 +250,65 @@ def _assign_sorted(xs: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, n
     return labels, np.concatenate(([0], np.maximum.accumulate(bounds), [xs.size]))
 
 
-def _run_labels(order: np.ndarray, labels: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Input-order labels of the runs (labels, edges) over the points sorted
-    by order: one scatter."""
-    out = np.empty(order.size, dtype=np.intp)
-    out[order] = np.repeat(labels, np.diff(edges))
-    return out
+def _value_labels(values: np.ndarray, xs: np.ndarray, labels: np.ndarray,
+                  edges: np.ndarray) -> np.ndarray:
+    """Labels of values, in their order, under the runs (labels, edges) that
+    _assign_sorted found in their ascending copy xs. Runs never split equal
+    values, so a value's run is the last one whose first value it reaches;
+    an empty run's first value is its successor's, or inf at the end."""
+    inner = edges[1:-1]
+    firsts = np.where(inner < xs.size, xs[np.minimum(inner, xs.size - 1)], np.inf)
+    run = np.searchsorted(firsts, values, "right")
+    return np.take(labels, run, out=run, mode="clip")  # in place; every run < labels.size
+
+
+def _block_moments(xs: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sums, means, M2) of each whole block of `block` values of xs, M2 the
+    sum of squared deviations from the block mean."""
+    whole = xs[:xs.size // block * block].reshape(-1, block)
+    sums = whole.sum(axis=1)
+    means = sums / block
+    dev = whole - means[:, None]
+    dev *= dev
+    return sums, means, dev.sum(axis=1)
+
+
+def _run_moments(xs: np.ndarray, block: int,
+                 moments: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(means, SSE) of the non-empty runs xs[edges[i]:edges[i + 1]], given
+    moments = _block_moments(xs, block). A run's sum and SSE combine the
+    moments of the blocks wholly inside it with a two-pass sum over its two
+    ends, the values outside those blocks."""
+    sums, block_means, m2 = moments
+    runs = edges.size - 1
+    lo, hi = edges[:-1], edges[1:]
+    # the run that holds each block whole, or runs for one split between two
+    starts = np.arange(sums.size) * block
+    owner = np.searchsorted(hi, starts, "right")
+    owner[hi[owner] - starts < block] = runs
+    # the ends [lo, left) and [right, hi), gathered in one pass
+    left = np.minimum(-(-lo // block) * block, hi)
+    right = np.maximum(hi // block * block, left)
+    seg_lo = np.stack([lo, right], axis=1).ravel()
+    seg_len = np.stack([left - lo, hi - right], axis=1).ravel()
+    offsets = np.cumsum(seg_len) - seg_len
+    ends = xs[np.arange(offsets[-1] + seg_len[-1]) + np.repeat(seg_lo - offsets, seg_len)]
+    end_run = np.repeat(np.arange(runs).repeat(2), seg_len)
+
+    means = (np.bincount(owner, weights=sums, minlength=runs + 1)[:runs]
+             + np.bincount(end_run, weights=ends, minlength=runs)) / (hi - lo)
+    # a block adds its M2 plus its size times its mean's squared offset from
+    # the run mean (Chan, Golub & LeVeque 1979); S2 - S1^2/n is never formed
+    dev = block_means - np.append(means, 0.0)[owner]
+    dev *= dev
+    dev *= block
+    dev += m2
+    ends -= means[end_run]
+    ends *= ends
+    sse = (np.bincount(owner, weights=dev, minlength=runs + 1)[:runs]
+           + np.bincount(end_run, weights=ends, minlength=runs))
+    return means, sse
 
 
 def _cluster_means(assign: np.ndarray, values: np.ndarray,
@@ -270,8 +334,8 @@ def _repair_empty(pts, assign, centroids, counts):
 
 class _Labels:
     """Lloyd state as one label per point in input order; the d > 1 kernel.
-    After update, centroids holds the means and sq_resid each point's
-    squared residual per dimension."""
+    After update, centroids holds the means, sq_resid each point's squared
+    residual per dimension and objective their sum."""
 
     def __init__(self, pts: np.ndarray):
         self.pts = pts
@@ -290,55 +354,62 @@ class _Labels:
         self.objective = float(np.sum(self.sq_resid))
         return self.centroids, self.objective
 
-    def finish(self, counts: np.ndarray) -> None:
-        """Make labels, centroids, sq_resid and objective those of the last
-        iteration in input order."""
+    def finish(self, counts: np.ndarray, iterations: int) -> ClusterResult:
+        """The result of the last update."""
+        variances = _cluster_means(self.labels, self.sq_resid, counts)
+        return ClusterResult(self.centroids, variances, self.labels, self.objective, iterations)
 
 
 class _Runs(_Labels):
     """Lloyd state of the d == 1 kernel. The points are sorted once, so
     every cluster is a run of them: nearest() keeps (labels, edges) from
-    _assign_sorted, update() sums runs in sorted order and squares the
-    residuals in one contiguous pass over a buffer allocated once. Labels
-    reach input order, by one scatter, only when a cluster is empty, and
-    in finish(), which recomputes the means in input order as the dense
-    kernel sums them."""
+    _assign_sorted, and update() takes each run's mean and SSE from
+    _run_moments. Input-order labels are looked up by value only when a
+    cluster is empty, where the update runs as for d > 1, and in finish(),
+    for the result's assignments."""
 
-    def __init__(self, pts: np.ndarray):
+    def __init__(self, pts: np.ndarray, c: int):
         super().__init__(pts)
-        # unstable is fine: run edges never split equal values, so the
-        # labels do not depend on how the sort orders them
-        self.order = np.argsort(pts[:, 0])
-        self.xs = pts[self.order, 0]
-        self.resid = np.empty_like(self.xs)
+        self.xs = np.sort(pts[:, 0])
+        # balances an update's m / block whole blocks against its < 2 c block
+        # end values
+        self.block = math.isqrt(pts.shape[0] // c)
+        self.moments = _block_moments(self.xs, self.block)
+
+    def input_labels(self) -> np.ndarray:
+        return _value_labels(self.pts[:, 0], self.xs, self.run_labels, self.edges)
 
     def nearest(self, centroids: np.ndarray) -> np.ndarray:
         self.run_labels, self.edges = _assign_sorted(self.xs, centroids)
         counts = np.zeros(centroids.shape[0], dtype=np.intp)
         counts[self.run_labels] = np.diff(self.edges)
         # to be repaired, and then updated, in input order
-        self.labels = (None if counts.all() else
-                       _run_labels(self.order, self.run_labels, self.edges))
+        self.labels = None if counts.all() else self.input_labels()
         return counts
 
     def update(self, counts: np.ndarray) -> tuple[np.ndarray, float]:
         if self.labels is not None:
             return super().update(counts)
         # no cluster is empty, so every label has one run of at least a point
-        lo, hi = self.edges[:-1], self.edges[1:]
-        means = np.add.reduceat(self.xs, lo) / (hi - lo)
-        for a, b, mean in zip(lo.tolist(), hi.tolist(), means.tolist()):
-            np.subtract(self.xs[a:b], mean, out=self.resid[a:b])
-        self.resid *= self.resid
+        means, sse = _run_moments(self.xs, self.block, self.moments, self.edges)
         self.centroids = np.empty((counts.size, 1))
         self.centroids[self.run_labels, 0] = means
-        return self.centroids, float(np.sum(self.resid))
+        self.variances = np.empty((counts.size, 1))
+        self.variances[self.run_labels, 0] = sse / np.diff(self.edges)
+        return self.centroids, float(np.sum(sse))
 
-    def finish(self, counts: np.ndarray) -> None:
-        if self.labels is None:
-            self.xs = self.resid = None  # freed before the scatter and the dense pass
-            self.labels = _run_labels(self.order, self.run_labels, self.edges)
-            super().update(counts)
+    def finish(self, counts: np.ndarray, iterations: int) -> ClusterResult:
+        if self.labels is not None:
+            return super().finish(counts, iterations)
+        labels = self.input_labels()
+        self.xs = None  # freed before the residual pass
+        # the objective sums in input order, as the d > 1 update and plain
+        # Lloyd sum it
+        resid = np.take(self.centroids[:, 0], labels)
+        np.subtract(self.pts[:, 0], resid, out=resid)
+        resid *= resid
+        return ClusterResult(self.centroids, self.variances, labels, float(np.sum(resid)),
+                             iterations)
 
 
 def kmeans(points, c: int, seed: int) -> ClusterResult:
@@ -358,7 +429,7 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
         raise DataError("points contain non-finite values")
 
     if d == 1:
-        state = _Runs(pts)
+        state = _Runs(pts, c)
         centroids = _seed_sorted(state.xs, c, seed)
     else:
         state = _Labels(pts)
@@ -374,9 +445,7 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
             break
         prev_obj = obj
 
-    state.finish(counts)
-    variances = _cluster_means(state.labels, state.sq_resid, counts)
-    return ClusterResult(state.centroids, variances, state.labels, state.objective, it)
+    return state.finish(counts, it)
 
 
 def kmeans_best_of(points, c: int, seed: int, restarts: int = 1) -> ClusterResult:

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from gpq import DataError, kmeans, kmeans_best_of
-from gpq.kmeans import (_CHUNK_ROWS, _assign_dense, _assign_sorted, _init_plus_plus, _race,
-                        _race_buffers, _run_labels, _seed_sorted)
+from gpq.kmeans import (_CHUNK_ROWS, _assign_dense, _assign_sorted, _block_moments,
+                        _init_plus_plus, _race, _race_buffers, _run_moments, _seed_sorted,
+                        _value_labels)
 from gpq.rng import row_hashes
 
 from _oracles import (brute_force_kmeans_objective, brute_force_nearest, brute_force_plus_plus,
@@ -198,7 +200,92 @@ def test_sorted_kmeans_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.5 * m * 8
+    # measured: 2.30 arrays (the sorted copy, the seeding's d2 and its buffer
+    # of _CHUNK_ROWS points); 0.2 arrays of margin for small temporaries
+    assert peak < 2.5 * m * 8
+
+
+@pytest.mark.parametrize("case", ["blocks", "repair"])
+def test_sorted_kmeans_ignores_row_order(monkeypatch, case):
+    # d = 1 means and variances are those of runs of the sorted values, so a
+    # row permutation leaves them bit-identical and permutes the assignments.
+    # "blocks": m >> B, no empty cluster. "repair": one iteration repairs an
+    # empty cluster, whose update sums in input order; its means only feed
+    # the next assignment. The objective sums squared residuals in input
+    # order, so it may differ by summation order: at most m ulps of itself, a
+    # bound fixed before the test was first run.
+    repairs = []
+    repair = KMEANS._repair_empty
+    monkeypatch.setattr(KMEANS, "_repair_empty", lambda *a: repairs.append(1) or repair(*a))
+    if case == "blocks":
+        rng = np.random.default_rng(21)
+        (m, c), seeds = (20000, 20), range(3)
+        pts = rng.normal(size=(m, 1))
+        assert m // math.isqrt(m // c) > 20 * c  # whole blocks per run
+    else:
+        # eight clumps of ten-odd points, 50 clusters; found by a search over
+        # the clumps' seed for a run that repairs
+        rng = np.random.default_rng(1441)
+        (m, c), seeds = (120, 50), [1441]
+        pts = rng.integers(0, 8, size=(m, 1)) * 10 + rng.normal(size=(m, 1))
+    perm = np.random.default_rng(0).permutation(m)
+    for seed in seeds:
+        a, b = kmeans(pts, c, seed), kmeans(pts[perm], c, seed)
+        assert np.array_equal(a.centroids, b.centroids)
+        assert np.array_equal(a.variances, b.variances)
+        assert np.array_equal(a.assignments[perm], b.assignments)
+        assert a.iterations == b.iterations
+        assert abs(a.objective - b.objective) <= m * np.finfo(np.float64).eps * a.objective
+    assert (len(repairs) > 0) == (case == "repair")
+
+
+def two_pass_moments(xs, edges):
+    """Per run, its mean and SSE from math.fsum: sum, divide, then the sum of
+    squared deviations from that mean."""
+    means, sse = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        means.append(math.fsum(xs[a:b]) / (b - a))
+        sse.append(math.fsum((xs[a:b] - means[-1]) ** 2))
+    return np.array(means), np.array(sse)
+
+
+@pytest.mark.parametrize("kind", ["short", "ragged", "inside", "aligned", "unit", "one_run",
+                                  "offset"])
+def test_run_moments_match_two_pass(kind):
+    # Tolerances fixed before the first run. A mean sums n terms, so it may
+    # be off by 2 n eps max|x|. An SSE sums n squares (n eps of itself); each
+    # block mean is off by up to B eps max|x|, which moves the block's
+    # B (mean_b - mean)^2 by up to 2 B spread times that, n / B times; and the
+    # run mean's error adds n times its square. On "offset", 1e4 + N(0, 1e-3),
+    # S2 - S1^2/n would be off by about eps S2, some 1e14 times the SSE.
+    rng = np.random.default_rng(14)
+    if kind == "short":  # m < B
+        xs, block, edges = rng.normal(size=11), 16, [0, 3, 4, 11]
+    elif kind == "ragged":  # m not a multiple of B, runs of up to several blocks
+        xs, block = rng.normal(size=5 * 16 + 7), 16
+        edges = [0, *np.sort(rng.choice(np.arange(1, 87), 6, replace=False)), 87]
+    elif kind == "inside":  # runs inside one block, or across one block edge
+        xs, block, edges = rng.normal(size=64), 16, [0, 2, 5, 15, 16, 17, 30, 33, 47, 64]
+    elif kind == "aligned":  # run edges on block edges
+        xs, block, edges = rng.normal(size=96), 16, [0, 16, 48, 64, 65, 80, 96]
+    elif kind == "unit":  # every value a block, so no run has ends
+        xs, block = rng.normal(size=50), 1
+        edges = [0, *np.sort(rng.choice(np.arange(1, 50), 7, replace=False)), 50]
+    elif kind == "one_run":  # c = 1
+        xs, block, edges = rng.normal(size=1000), 31, [0, 1000]
+    else:
+        xs, block = 1e4 + rng.normal(scale=1e-3, size=3000), 17
+        edges = [0, *np.sort(rng.choice(np.arange(1, 3000), 9, replace=False)), 3000]
+    xs, edges = np.sort(xs), np.array(edges)
+    means, sse = _run_moments(xs, block, _block_moments(xs, block), edges)
+    ref_means, ref_sse = two_pass_moments(xs, edges)
+    eps = np.finfo(np.float64).eps
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        n, amax, spread = b - a, np.abs(xs[a:b]).max(), xs[b - 1] - xs[a]
+        dmean = 2 * n * eps * amax
+        assert abs(means[i] - ref_means[i]) <= dmean
+        assert abs(sse[i] - ref_sse[i]) <= (n * eps * (ref_sse[i] + 2 * block * spread * amax)
+                                            + n * dmean**2)
 
 
 @pytest.mark.xfail(raises=AssertionError, strict=True,
@@ -210,8 +297,8 @@ def test_float64_duplicates_more_clusters_than_distinct():
 
 
 def sorted_nearest(pts, centroids):
-    order = np.argsort(pts[:, 0], kind="stable")
-    return _run_labels(order, *_assign_sorted(pts[order, 0], centroids))
+    xs = np.sort(pts[:, 0])
+    return _value_labels(pts[:, 0], xs, *_assign_sorted(xs, centroids))
 
 
 @pytest.mark.parametrize("pts,centroids", [
