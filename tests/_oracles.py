@@ -4,11 +4,15 @@ These deliberately avoid the library's own code paths: clustering by
 exhaustive assignment enumeration, nearest centroids by explicit
 differences, neighbors by a full cosine table, k-means++ seeding over the
 whole array at once (only the hash and uniform streams and the d = 1 mass
-block size are shared with the library).
+block size are shared with the library), word2vec text by one float() per
+value.
 """
+
+from typing import BinaryIO
 
 import numpy as np
 
+from gpq import DataError, EmbeddingMatrix
 from gpq.kmeans import _MASS_BLOCK
 from gpq.rng import SplitMix64, derive_seed, mix64, row_hashes
 
@@ -150,3 +154,54 @@ def plain_lloyd(points, c: int, seed: int):
             break
         prev = obj
     return labels, centroids, obj, it, repairs
+
+
+def load_word2vec_text(source: BinaryIO) -> EmbeddingMatrix:
+    """Parse the word2vec text format into an EmbeddingMatrix."""
+    # an undecodable byte cannot be part of the two integers: it fails below
+    header = source.readline().decode("utf-8", errors="replace").strip()
+    parts = header.split()
+    if len(parts) != 2:
+        raise DataError(f"malformed header: {header!r}")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise DataError(f"malformed header: {header!r}") from None
+    if count < 1 or dim < 1:
+        raise DataError(f"malformed header: rows={count} cols={dim}")
+
+    # rows are kept as they arrive: a header claiming more rows than the
+    # file holds must fail as a row count mismatch, not size an allocation
+    rows: list[np.ndarray] = []
+    vocab: list[str] = []
+    seen: set[str] = set()
+    try:
+        for i in range(count):
+            line = source.readline().decode("utf-8").strip()
+            if not line:
+                raise DataError(f"row count mismatch: expected {count} rows, got {i}")
+            fields = line.split()
+            if len(fields) != dim + 1:
+                raise DataError(
+                    f"dim mismatch at row {i}: expected {dim} values, got {len(fields) - 1}")
+            token = fields[0]
+            if token in seen:
+                raise DataError(f"duplicate token {token!r}")
+            seen.add(token)
+            vocab.append(token)
+            try:
+                # beyond binary32 range casts to inf, which the check below reports
+                with np.errstate(over="ignore"):
+                    row = np.array([float(f) for f in fields[1:]], dtype=np.float32)
+            except ValueError:
+                raise DataError(f"unparseable value at row {i}") from None
+            if not np.all(np.isfinite(row)):
+                raise DataError(f"non-finite value at row {i}")
+            rows.append(row)
+    except UnicodeDecodeError:
+        raise DataError(f"row {i} is not UTF-8 text") from None
+    # trailing blank lines are fine; a row beyond the header's count is not
+    while line := source.readline():
+        if line.decode("utf-8", errors="replace").strip():
+            raise DataError(f"row count mismatch: expected {count} rows, got more")
+    return EmbeddingMatrix(np.stack(rows), vocab)

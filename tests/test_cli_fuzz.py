@@ -167,25 +167,31 @@ def test_argv_exit_contract(argv):
         check_exit(argv, tmp)
 
 
-# values at and beyond binary32 range, non-finite, Python-only syntax, junk
-W2V_VALUES = [b"0", b"1", b"-2.5", b"1e-50", b"3.4028235e38", b"-3.4028235e38", b"1e39",
-              b"-1e39", b"nan", b"inf", b"-inf", b"1_0", b"", b"x", b"\xff"]
+# values at and beyond binary32 range, non-finite, syntax that float() takes
+# and numpy's C parser refuses (underscores, non-ASCII digits), junk
+W2V_VALUES = [b"0", b"1", b"-2.5", b"-0", b"1e-46", b"1e-50", b"3.4028235e38",
+              b"-3.4028235e38", b"1e39", b"-1e39", b"nan", b"inf", b"-inf", b"Infinity",
+              b"1_0", b"1_000.5", "\u0663".encode(), b"", b"x", b"\xff"]
 W2V_TOKENS = [b"a", b"b", b"c", b"\xff\xfe", b""]
+# whitespace str.split() takes; a bare CR ends a line for numpy's C parser
+W2V_SEPARATORS = [b" ", b" ", b"\t", b"\r", b"\x0b", "\xa0".encode(), "\u3000".encode()]
 
 
 @st.composite
 def word2vec_texts(draw) -> bytes:
     """A header, then rows of a token and values drawn from the pools, with
-    one field more or fewer now and then; tokens repeat."""
+    one field more or fewer now and then, each field after a separator
+    from the pool; tokens repeat."""
     rows, dim = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     header = draw(st.sampled_from([f"{rows} {dim}".encode(), f"{rows + 1} {dim}".encode(),
                                    f"{rows} {dim} 1".encode(), b"x 1"]))
     lines = [header]
     for _ in range(rows):
         width = dim + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
-        fields = [draw(st.sampled_from(W2V_TOKENS))]
-        fields += [draw(st.sampled_from(W2V_VALUES)) for _ in range(max(width, 0))]
-        lines.append(b" ".join(fields))
+        line = draw(st.sampled_from(W2V_TOKENS))
+        for _ in range(max(width, 0)):
+            line += draw(st.sampled_from(W2V_SEPARATORS)) + draw(st.sampled_from(W2V_VALUES))
+        lines.append(line)
     return b"\n".join(lines) + b"\n"
 
 

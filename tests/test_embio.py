@@ -1,12 +1,15 @@
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gpq import (DataError, EmbeddingMatrix, load_raw, load_word2vec_text,
+from _oracles import load_word2vec_text as reference_load
+from gpq import (DataError, EmbeddingMatrix, embio, load_raw, load_word2vec_text,
                  save_raw, save_word2vec_text)
 
 
@@ -67,6 +70,101 @@ class TestWord2vecLoad:
             load_word2vec_text(io.BytesIO(data))
 
 
+# separators str.split() takes; numpy's C parser ends a line at a bare CR
+W2V_SEPARATORS = ["  ", "\t", "\r", "\x0b", "\xa0", "\u3000"]
+# syntax float() takes and the C parser refuses, values beyond binary32
+# range either way, non-finite, and junk
+W2V_SPECIAL_VALUES = ["1_000.5", "\u0663", "-0", "1e-46", "3.4028235e38", "1e39",
+                      "Infinity", "nan", "-inf", "0x10", "x", "1e"]
+
+
+@st.composite
+def word2vec_cases(draw) -> tuple[bytes, int]:
+    """word2vec text and its header's dim: mostly valid rows, with now and
+    then a repeated token, a field more or fewer, a blank line, a special
+    value or separator, and a header count one off."""
+    rows, dim = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    count = max(1, rows + draw(st.sampled_from([0] * 8 + [-1, 1])))
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    lines = [f"{count} {dim}"]
+    for i in range(rows):
+        if draw(st.integers(0, 39)) == 0:
+            lines.append("")
+        token = f"w{i}" if draw(st.integers(0, 7)) else draw(st.sampled_from(["a", "\u00e9"]))
+        fields = [token]
+        for _ in range(dim + draw(st.sampled_from([0] * 29 + [-1, 1]))):
+            if draw(st.integers(0, 19)):
+                x = draw(st.floats(allow_nan=False, allow_infinity=False, width=32))
+                fields.append(f"{x:.9g}")
+            else:
+                fields.append(draw(st.sampled_from(W2V_SPECIAL_VALUES)))
+        line = fields[0]
+        for field in fields[1:]:
+            line += (" " if draw(st.integers(0, 9)) else draw(st.sampled_from(W2V_SEPARATORS)))
+            line += field
+        lines.append(line)
+    return newline.join(lines).encode() + newline.encode(), dim
+
+
+def load_outcome(load, text: bytes):
+    """The values' bits, shape and vocab of a load, or its error message."""
+    try:
+        e = load(io.BytesIO(text))
+    except DataError as exc:
+        return str(exc)
+    return e.values.tobytes(), e.values.shape, e.vocab
+
+
+class TestWord2vecLoadMatchesReference:
+    """The chunked loader against one float() per value: bit-equal values
+    and vocab when it accepts, the same first error when it does not, at
+    chunks of 1 and 3 rows and the default."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, None])
+    @given(word2vec_cases())
+    @settings(max_examples=150, deadline=None)
+    @example(case=(b"2 2\na 1_000.5 2\nb 3 4\n", 2))
+    @example(case=("2 2\na \u0663 1\nb 3 4\n".encode(), 2))
+    @example(case=(b"2 2\na 1\r2\nb\r3 4\n", 2))
+    @example(case=(b"2 1\na 1\r2\nb 3\n", 1))
+    @example(case=(b"2 2\na 1\x0b2\nb\x0b3 4\n", 2))
+    @example(case=("2 2\na 1\xa02\nb\xa03 4\n".encode(), 2))
+    @example(case=("2 2\na 1\u30002\nb\u30003 4\n".encode(), 2))
+    @example(case=(b"2 1\na 1\nb 1e39\n", 1))
+    @example(case=(b"2 2\na 1e-46 -0\nb -0 0\n", 2))
+    @example(case=(b"2 1\na 1\nb Infinity\n", 1))
+    @example(case=(b"3 1\na 1\nb nan\na 2\n", 1))
+    @example(case=(b"5 2\na 1 2\nb 3 4\nc 5 6\nd 7 8\ne 9\n", 2))
+    @example(case=(b"3 1\na 1\n\nb 2\nc 3\n", 1))
+    @example(case=(b"1 1\na 1\nb 2\n", 1))
+    @example(case=(b"100000000000 1\na 1\n", 1))
+    def test_matches_reference(self, chunk_rows, case):
+        text, dim = case
+        chunk = embio._CHUNK_VALUES if chunk_rows is None else chunk_rows * dim
+        with mock.patch.object(embio, "_CHUNK_VALUES", chunk):
+            got = load_outcome(load_word2vec_text, text)
+        assert got == load_outcome(reference_load, text)
+
+    def test_peak_memory_within_reference(self):
+        # reading the whole file (15 MB here), or parsing the whole matrix
+        # into one float64 buffer, would peak above the per-value parse
+        rng = np.random.default_rng(3)
+        row = " ".join(["%.9g"] * 64)
+        text = "20000 64\n" + "".join(f"w{i} {row % tuple(v)}\n" for i, v in
+                                      enumerate(rng.standard_normal((20000, 64)).tolist()))
+        data = text.encode()
+
+        def peak(load) -> int:
+            tracemalloc.start()
+            try:
+                load(io.BytesIO(data))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(load_word2vec_text) <= 1.1 * peak(reference_load)
+
+
 class TestRaw:
     def test_basic(self):
         data = np.array([1.0, 2.0], dtype="<f4").tobytes()
@@ -112,9 +210,11 @@ class TestWord2vecSave:
             save_word2vec_text(e, io.BytesIO())
 
     def test_rejects_whitespace_token(self):
-        e = EmbeddingMatrix(np.zeros((1, 1), dtype=np.float32), ["a b"])
-        with pytest.raises(DataError, match="whitespace"):
-            save_word2vec_text(e, io.BytesIO())
+        # an empty token is rejected too: its line would start with a value
+        for token in ["a b", ""]:
+            e = EmbeddingMatrix(np.zeros((1, 1), dtype=np.float32), [token])
+            with pytest.raises(DataError, match="whitespace"):
+                save_word2vec_text(e, io.BytesIO())
 
     def test_round_trip_tenth(self):
         e = EmbeddingMatrix(np.array([[0.1]], dtype=np.float32), ["x"])
