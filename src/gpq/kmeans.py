@@ -9,27 +9,29 @@ improves by 1e-6 of itself or less, as it does when no assignment changes.
 Each Lloyd iteration assigns every point to its nearest centroid with one
 of two kernels, chosen from the point dimension d alone:
 
-- d == 1: the points are sorted once, into a copy, before seeding. In one
-  dimension every cluster is a contiguous run of sorted points, so an
-  iteration sorts the c centroids and binary-searches the midpoints
-  between neighbouring centroids into the sorted points: O(c log m), and
-  the c+1 run edges are the whole assignment. Counts are run lengths. The
-  update reads the sum, mean and M2 (sum of squared deviations from the
-  mean) of every block of B = isqrt(m // c) sorted points, computed once
-  after the sort. A run's sum adds the sums of the blocks wholly inside it
-  to the values of its two ends, the fewer than 2B values outside those
-  blocks. Its SSE adds each such block's M2 plus B times the squared
-  offset of the block mean from the run mean (the pairwise update of Chan,
-  Golub & LeVeque, 1979) to the squared deviations of its ends from the
-  run mean, so no S2 - S1^2/n is ever formed. All runs are done at once,
-  in O(m/B + c B), with no m-long temporary. Labels reach input order, by
-  looking each point's value up among the runs' first values, only after
-  the loop, or when a cluster is empty (fewer distinct values than
-  clusters), where the update runs as for d > 1.
-- d > 1: argmin of ||c||^2 - 2 x.c over blocks of _CHUNK_ROWS points, so
-  no temporary is larger than O(_CHUNK_ROWS * c). The update is one
-  statistics pass: per-cluster counts and sums by np.bincount, and one
-  residual whose squares give the objective.
+- d == 1: the points are sorted once, into a copy, which is also the
+  canonical order of seeding (below). In one dimension every cluster is a
+  contiguous run of sorted points, so an iteration sorts the c centroids
+  and binary-searches the midpoints between neighbouring centroids into
+  the sorted points: O(c log m), and the c+1 run edges are the whole
+  assignment. Counts are run lengths. The update reads the sum, mean and
+  M2 (sum of squared deviations from the mean) of every block of B =
+  isqrt(m // c) sorted points, computed once after the sort. A run's sum
+  adds the sums of the blocks wholly inside it to the values of its two
+  ends, the fewer than 2B values outside those blocks. Its SSE adds each
+  such block's M2 plus B times the squared offset of the block mean from
+  the run mean (the pairwise update of Chan, Golub & LeVeque, 1979) to the
+  squared deviations of its ends from the run mean, so no S2 - S1^2/n is
+  ever formed. All runs are done at once, in O(m/B + c B), with no m-long
+  temporary. Labels reach input order, by looking each point's value up
+  among the runs' first values, only after the loop, or when a cluster is
+  empty (fewer distinct values than clusters), where the update runs as
+  for d > 1.
+- d > 1: argmin of ||c||^2 - 2 x.c over blocks of 2^20 // (8 c) points,
+  about 1 MiB of float64 scores, so the block size follows from c alone
+  and no temporary grows with m. The update is one statistics pass:
+  per-cluster counts and sums by np.bincount, and one residual whose
+  squares give the objective.
 
 Both kernels resolve ties to the lowest centroid index, and neither the
 kernel nor the block sizes are settings: they follow from the shape of the
@@ -40,30 +42,25 @@ multiset of values alone, so a row permutation leaves them bit-identical
 and permutes the assignments. The objective returned sums the squared
 residuals in input order, as the d > 1 update does.
 
-k-means++ seeding (D² sampling) also follows d:
-
-- d == 1 seeds from the sorted values, so the centers depend on the
-  multiset of values alone. Step k takes the k-th uniform u in [0, 1) of
-  SplitMix64(seed): step 0 picks sorted index floor(u * m), every later
-  step the first sorted point whose cumulative d2 (squared distance to the
-  nearest chosen center) exceeds u times the total. The cumulative d2 is a
-  running sum of the totals of blocks of _MASS_BLOCK points plus a running
-  sum inside the chosen block, so it adds non-negative terms only and never
-  picks a point of d2 = 0 while the total is positive; at total 0 (fewer
-  distinct values than centers) the pick is uniform, as at step 0. A new
-  center lowers d2 only strictly between its two chosen neighbours, so
-  only those points and their blocks' totals are updated; of the seeding's
-  arrays only d2 grows with m.
-- d > 1 keys every point by its content hash. It keeps three m-long
-  arrays: the hashes, d2, and one column-major copy of the points, plus
-  block buffers allocated once per call, into which each step mixes
-  hashes, draws keys and computes distances in place. Each of the c steps
-  scores exponential-race keys -log(1 - u) / d2 over blocks of
-  _CHUNK_ROWS points and takes the winner across blocks by strict <, so
-  ties go to the lowest index as one argmin would; it then updates d2
-  block by block, summing (column_j - center_j)^2 in coordinate order.
-  That sequential sum equals numpy's row sum for d < 8; above, where
-  numpy sums pairwise, the two may differ by an ulp.
+k-means++ seeding (D² sampling, Arthur & Vassilvitskii 2007) is one rule
+for every d. The points are taken in a canonical order: ascending values
+when d == 1, else ascending 64-bit content hashes of the rows (a stable
+argsort, so equal rows are adjacent and the order depends on the multiset
+of rows alone, up to hash collisions). Step k takes the k-th uniform u in
+[0, 1) of SplitMix64(seed): step 0 picks canonical index floor(u * m),
+every later step the first point whose cumulative d2 (squared distance to
+the nearest chosen center) exceeds u times the total. The cumulative d2 is
+a running sum of the totals of blocks of _MASS_BLOCK points plus a running
+sum inside the chosen block, so it adds non-negative terms only and never
+picks a point of d2 = 0 while the total is positive; at total 0 (fewer
+distinct points than centers) the pick is uniform, as at step 0. Each
+step updates d2 in passes of whole blocks, summing (column_j - center_j)^2
+in coordinate order; that sequential sum equals numpy's row sum for d < 8,
+and above, where numpy sums pairwise, the two may differ by an ulp. When
+d == 1 a new center lowers d2 only strictly between its two chosen
+neighbours, so only those points and their blocks' totals are updated;
+when d > 1 every point is. Beside the canonical copy of the points (and,
+while it is made, the row hashes and their argsort), only d2 grows with m.
 """
 
 from __future__ import annotations
@@ -75,12 +72,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .rng import SplitMix64, derive_seed, mix64, row_hashes
+from .rng import SplitMix64, row_hashes
 
 DEFAULT_MAX_ITER = 100
 DEFAULT_REL_TOL = 1e-6
-_CHUNK_ROWS = 65536  # points per block of seeding and of the dense assignment
-_MASS_BLOCK = 4096  # sorted points per d2 total of d == 1 seeding
+_CHUNK_ROWS = 65536  # points per row-hash block and per d2 update pass of seeding
+_MASS_BLOCK = 4096  # points per d2 total of seeding, in canonical order
 
 
 @dataclass(frozen=True)
@@ -92,102 +89,35 @@ class ClusterResult:
     iterations: int
 
 
-def _to_uniform_open(u64: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """(0, 1) uniforms from the top 53 bits of u64, written into out; u64 is
-    overwritten. Strictly positive, so exponential keys stay finite and
-    nonzero."""
-    np.right_shift(u64, np.uint64(11), out=u64)
-    # the cast is exact below 2^53, and int64 casts faster than uint64
-    np.add(u64.view(np.int64), 0.5, out=out)
-    out *= 2.0**-53  # exact, as dividing by 2^53 is
-    return out
-
-
-def _race_buffers(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block buffers of _race over m points: two uint64 and one float64."""
-    rows = min(m, _CHUNK_ROWS)
-    return np.empty(rows, dtype=np.uint64), np.empty(rows, dtype=np.uint64), np.empty(rows)
-
-
-def _race(hashes: np.ndarray, salt: int, d2: np.ndarray | None,
-          buffers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[int, float]:
-    """(index, key) of the smallest exponential-race key, scored over blocks
-    of _CHUNK_ROWS points in the buffers of _race_buffers; uniform keys when
-    d2 is None."""
-    bits, tmp, keys = buffers
-    salt = np.uint64(salt)
-    best, best_key = 0, np.inf
-    for lo in range(0, hashes.size, _CHUNK_ROWS):
-        n = min(_CHUNK_ROWS, hashes.size - lo)
-        u = np.bitwise_xor(hashes[lo:lo + n], salt, out=bits[:n])
-        key = _to_uniform_open(mix64(u, tmp[:n]), out=keys[:n])
-        if d2 is not None:
-            # -log1p(-u) / d2, in place
-            np.negative(key, out=key)
-            np.log1p(key, out=key)
-            np.negative(key, out=key)
-            with np.errstate(divide="ignore"):
-                np.divide(key, d2[lo:lo + n], out=key)
-        i = int(np.argmin(key))
-        if key[i] < best_key:  # strict: ties keep the lower block
-            best, best_key = lo + i, key[i]
-    return best, best_key
-
-
-def _init_plus_plus(pts: np.ndarray, c: int, seed: int) -> np.ndarray:
-    """k-means++ seeding keyed by per-point content hashes.
-
-    Candidate selection uses exponential-race sampling: each point draws a
-    key -log(1-u)/w with w its squared distance to the nearest chosen
-    center, and the minimum key wins. Because u depends on the point's
-    content hash rather than its position, the multiset of chosen centers
-    does not depend on input row order.
-    """
+def _canonical(pts: np.ndarray, seed: int) -> np.ndarray:
+    """(d, m) copy of the points in the canonical order of seeding: ascending
+    values when d == 1, else ascending row_hashes(pts, seed), equal hashes in
+    input order."""
     m, d = pts.shape
-    cols = np.ascontiguousarray(pts.T)  # (d, m); a view when d == 1
+    if d == 1:
+        return np.sort(pts[:, 0])[None]
     hashes = np.empty(m, dtype=np.uint64)
     for lo in range(0, m, _CHUNK_ROWS):
         hashes[lo:lo + _CHUNK_ROWS] = row_hashes(pts[lo:lo + _CHUNK_ROWS], seed)
-    d2 = np.full(m, np.inf)
-    buffers = _race_buffers(m)
-    near, term = np.empty((2, buffers[2].size))
-    centers = np.empty((c, d), dtype=np.float64)
-    for step in range(c):
-        salt = derive_seed(seed, step)
-        idx, key = _race(hashes, salt, d2 if step else None, buffers)
-        if not np.isfinite(key):
-            # fewer distinct points than centers: fall back to uniform
-            idx, _ = _race(hashes, salt, None, buffers)
-        centers[step] = pts[idx]
-        center = centers[step].tolist()
-        for lo in range(0, m, _CHUNK_ROWS):
-            block = cols[:, lo:lo + _CHUNK_ROWS]
-            n = block.shape[1]
-            nd2 = np.subtract(block[0], center[0], out=near[:n])
-            nd2 *= nd2
-            for j in range(1, d):
-                t = np.subtract(block[j], center[j], out=term[:n])
-                t *= t
-                nd2 += t
-            np.minimum(d2[lo:lo + n], nd2, out=d2[lo:lo + n])
-    return centers
+    return np.take(pts.T, np.argsort(hashes, kind="stable"), axis=1)
 
 
-def _seed_sorted(xs: np.ndarray, c: int, seed: int) -> np.ndarray:
-    """(c, 1) k-means++ centers of the ascending 1-D values xs, picked by
-    D² mass over the sorted order (see the module docstring)."""
-    m, block = xs.size, _MASS_BLOCK
+def _seed(cols: np.ndarray, c: int, seed: int) -> np.ndarray:
+    """(c, d) k-means++ centers of the points cols = _canonical(pts, seed),
+    picked by D² mass over the canonical order (see the module docstring)."""
+    (d, m), block = cols.shape, _MASS_BLOCK
     d2 = np.full(-(-m // block) * block, np.inf)
     d2[m:] = 0.0  # padding to whole blocks carries no mass
     mass = np.empty(d2.size // block)
     rows = block * max(1, _CHUNK_ROWS // block)  # whole blocks per update pass
     buf = np.empty(min(rows, d2.size))
-    chosen: list[float] = []  # distinct center values, ascending
-    centers = np.empty((c, 1))
+    term = np.empty_like(buf) if d > 1 else None
+    chosen: list[float] = []  # d == 1: distinct center values, ascending
+    centers = np.empty((c, d))
     total = 0.0
     for step, u in enumerate(SplitMix64(seed).uniforms(c).tolist()):
         if not total > 0:
-            idx = int(u * m)  # step 0, or fewer distinct values than centers; u * m < m
+            idx = int(u * m)  # step 0, or fewer distinct points than centers; u * m < m
         else:
             # an overflowed total is reached, not exceeded
             target, side = (u * total, "right") if total < np.inf else (total, "left")
@@ -195,19 +125,27 @@ def _seed_sorted(xs: np.ndarray, c: int, seed: int) -> np.ndarray:
             run = np.cumsum(d2[b * block:(b + 1) * block], out=buf[:block])
             run += cum[b - 1] if b else 0.0  # cum[b] is its last entry, bit for bit
             idx = b * block + int(np.searchsorted(run, target, side))
-        centers[step] = x = float(xs[idx])
+        centers[step] = center = cols[:, idx].tolist()
         if step and not total > 0:
             continue  # every d2 is already 0
-        k = bisect_left(chosen, x)
-        lo = int(np.searchsorted(xs, chosen[k - 1], "right")) if k else 0
-        hi = int(np.searchsorted(xs, chosen[k], "left")) if k < len(chosen) else m
-        chosen.insert(k, x)
+        lo, hi = 0, m
+        if d == 1:
+            # only the points between the new center's chosen neighbours move
+            xs, x = cols[0], center[0]
+            k = bisect_left(chosen, x)
+            lo = int(np.searchsorted(xs, chosen[k - 1], "right")) if k else 0
+            hi = int(np.searchsorted(xs, chosen[k], "left")) if k < len(chosen) else m
+            chosen.insert(k, x)
         end = -(-hi // block) * block
         for s in range(lo // block * block, end, rows):
             e = min(s + rows, end)
             p, q = max(lo, s), min(hi, e)
-            near = np.subtract(xs[p:q], x, out=buf[:q - p])
+            near = np.subtract(cols[0, p:q], center[0], out=buf[:q - p])
             near *= near
+            for j in range(1, d):
+                t = np.subtract(cols[j, p:q], center[j], out=term[:q - p])
+                t *= t
+                near += t
             np.minimum(d2[p:q], near, out=d2[p:q])
             sums = np.cumsum(d2[s:e].reshape(-1, block), axis=1,
                              out=buf[:e - s].reshape(-1, block))
@@ -222,13 +160,15 @@ def _assign_dense(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # Scaling by -2 is exact, so x.(-2c) + sq rounds as sq - 2 x.c does.
     sq = np.sum(centroids**2, axis=1)
     neg2t = centroids.T * -2.0
-    buf = np.empty((min(pts.shape[0], _CHUNK_ROWS), centroids.shape[0]))
-    out = np.empty(pts.shape[0], dtype=np.intp)
-    for lo in range(0, pts.shape[0], _CHUNK_ROWS):
-        block = pts[lo:lo + _CHUNK_ROWS]
+    m, c = pts.shape[0], centroids.shape[0]
+    rows = max(1, 2**20 // (8 * c))  # about 1 MiB of float64 scores per block
+    buf = np.empty((min(m, rows), c))
+    out = np.empty(m, dtype=np.intp)
+    for lo in range(0, m, rows):
+        block = pts[lo:lo + rows]
         d2 = np.matmul(block, neg2t, out=buf[:block.shape[0]])
         d2 += sq
-        out[lo:lo + _CHUNK_ROWS] = np.argmin(d2, axis=1)
+        np.argmin(d2, axis=1, out=out[lo:lo + rows])
     return out
 
 
@@ -368,9 +308,9 @@ class _Runs(_Labels):
     cluster is empty, where the update runs as for d > 1, and in finish(),
     for the result's assignments."""
 
-    def __init__(self, pts: np.ndarray, c: int):
+    def __init__(self, pts: np.ndarray, xs: np.ndarray, c: int):
         super().__init__(pts)
-        self.xs = np.sort(pts[:, 0])
+        self.xs = xs  # pts[:, 0] in ascending order
         # balances an update's m / block whole blocks against its < 2 c block
         # end values
         self.block = math.isqrt(pts.shape[0] // c)
@@ -428,12 +368,10 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
     if not np.all(np.isfinite(pts)):
         raise DataError("points contain non-finite values")
 
-    if d == 1:
-        state = _Runs(pts, c)
-        centroids = _seed_sorted(state.xs, c, seed)
-    else:
-        state = _Labels(pts)
-        centroids = _init_plus_plus(pts, c, seed)
+    cols = _canonical(pts, seed)
+    state = _Runs(pts, cols[0], c) if d == 1 else _Labels(pts)
+    centroids = _seed(cols, c, seed)
+    del cols  # when d > 1, an m x d copy that Lloyd does not read
     prev_obj = np.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
         counts = state.nearest(centroids)

@@ -18,22 +18,16 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / 9007199254740992.0
 
 
-def mix64(x, tmp=None):
+def mix64(x):
     """splitmix64 finalizer, elementwise over uint64 arrays or scalars.
-    uint64 arithmetic wraps mod 2^64 by design. Given tmp, a uint64
-    array of x's shape for the shifted terms, x must be a uint64 array and
-    is mixed in place, so nothing is allocated."""
+    uint64 arithmetic wraps mod 2^64 by design."""
     with np.errstate(over="ignore"):
-        if tmp is None:
-            z = np.array(x, dtype=np.uint64)
-            tmp = np.empty_like(z)
-        else:
-            z = x
-        z ^= np.right_shift(z, np.uint64(30), out=tmp)
+        z = np.array(x, dtype=np.uint64)
+        z ^= z >> np.uint64(30)
         z *= _MIX1
-        z ^= np.right_shift(z, np.uint64(27), out=tmp)
+        z ^= z >> np.uint64(27)
         z *= _MIX2
-        z ^= np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= z >> np.uint64(31)
         return z
 
 
@@ -53,8 +47,8 @@ def derive_seed(seed: int, *parts: int) -> int:
 def row_hashes(points: np.ndarray, seed: int) -> np.ndarray:
     """64-bit content hash of each row of a float64 matrix.
 
-    Identical rows hash identically, which makes hash-keyed sampling
-    independent of row order.
+    Identical rows hash identically, so ordering rows by hash does not
+    depend on their input order.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     bits = pts.view(np.uint64)

@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: clustering by
 exhaustive assignment enumeration, nearest centroids by explicit
 differences, neighbors by a full cosine table, k-means++ seeding over the
-whole array at once (only the hash and uniform streams and the d = 1 mass
+whole array at once (only the row hashes, the uniform stream and the mass
 block size are shared with the library), word2vec text by one float() per
 value.
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from gpq import DataError, EmbeddingMatrix
 from gpq.kmeans import _MASS_BLOCK
-from gpq.rng import SplitMix64, derive_seed, mix64, row_hashes
+from gpq.rng import SplitMix64, row_hashes
 
 
 def brute_force_kmeans_objective(points, c: int) -> float:
@@ -60,48 +60,32 @@ def brute_force_topk_cosine(values, k: int) -> list[list[int]]:
     return out
 
 
-def brute_force_plus_plus(points, c: int, seed: int) -> np.ndarray:
-    """k-means++ centers by exponential race over all points at once: the
-    first of the smallest keys -log(1-u)/d2 wins, u from the content hash
-    stream; uniform keys at step 0 and whenever no key is finite. d2 sums
-    squared coordinate differences in coordinate order."""
-    pts = np.asarray(points, dtype=np.float64)
-    hashes = row_hashes(pts, seed)
-    d2 = np.full(len(pts), np.inf)
-    centers = []
-    for step in range(c):
-        bits = mix64(hashes ^ np.uint64(derive_seed(seed, step)))
-        u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) / 2.0**53
-        with np.errstate(divide="ignore"):
-            key = -np.log1p(-u) / d2
-        if step == 0 or not np.isfinite(key.min()):
-            key = u
-        centers.append(pts[np.argmin(key)])
-        diff = pts - centers[-1]
-        nd2 = diff[:, 0] ** 2
-        for j in range(1, pts.shape[1]):
-            nd2 = nd2 + diff[:, j] ** 2
-        d2 = np.minimum(d2, nd2)
-    return np.array(centers)
-
-
 def brute_force_sorted_plus_plus(points, c: int, seed: int, block: int) -> np.ndarray:
-    """d = 1 k-means++ centers by D² mass over the sorted values. Step k
-    takes the k-th uniform u of SplitMix64(seed) and recomputes d2 over all
-    sorted points from all chosen centers. Step 0, and any step where every
-    d2 is 0, takes sorted index floor(u * m). Otherwise the sorted points,
-    padded with d2 = 0 to whole blocks of `block`, get running sums within
-    each block and running sums of the block totals; the pick is the first
-    block whose running total exceeds u times the total, then the first
-    point of it whose running sum plus the previous blocks' total exceeds
-    it. An infinite total is reached instead of exceeded."""
-    xs = np.sort(np.asarray(points, dtype=np.float64)[:, 0])
-    m = xs.size
+    """k-means++ centers by D² mass over the points in canonical order:
+    ascending values when d = 1, else ascending row_hashes(points, seed),
+    equal hashes in input order. Step k takes the k-th uniform u of
+    SplitMix64(seed) and recomputes d2 over all points from all chosen
+    centers, summing squared coordinate differences in coordinate order.
+    Step 0, and any step where every d2 is 0, takes canonical index
+    floor(u * m). Otherwise the points, padded with d2 = 0 to whole blocks
+    of `block`, get running sums within each block and running sums of the
+    block totals; the pick is the first block whose running total exceeds u
+    times the total, then the first point of it whose running sum plus the
+    previous blocks' total exceeds it. An infinite total is reached instead
+    of exceeded."""
+    pts = np.asarray(points, dtype=np.float64)
+    m, d = pts.shape
+    pts = (np.sort(pts, axis=0) if d == 1
+           else pts[np.argsort(row_hashes(pts, seed), kind="stable")])
     centers = []
     for u in SplitMix64(seed).uniforms(c):
         idx = int(u * m)
         if centers:
-            d2 = np.min((xs[:, None] - np.array(centers)[None, :]) ** 2, axis=1)
+            diff = pts[:, None, :] - np.array(centers)[None, :, :]
+            sq = diff[:, :, 0] ** 2
+            for j in range(1, d):
+                sq = sq + diff[:, :, j] ** 2
+            d2 = np.min(sq, axis=1)
             runs = np.cumsum(np.append(d2, np.zeros(-m % block)).reshape(-1, block), axis=1)
             totals = np.cumsum(runs[:, -1])
             total = totals[-1]
@@ -112,23 +96,22 @@ def brute_force_sorted_plus_plus(points, c: int, seed: int, block: int) -> np.nd
                 target = u * total
                 b = int(np.argmax(totals > target))
                 idx = b * block + int(np.argmax((totals[b - 1] if b else 0.0) + runs[b] > target))
-        centers.append(xs[idx])
-    return np.array(centers).reshape(c, 1)
+        centers.append(pts[idx])
+    return np.array(centers)
 
 
 def plain_lloyd(points, c: int, seed: int):
     """Lloyd's k-means as one plain loop, the library's reference: centers
-    from brute_force_sorted_plus_plus at the library's block size when d = 1
-    and from brute_force_plus_plus otherwise, labels from
-    brute_force_nearest. While a cluster is empty, the lowest empty one
+    from brute_force_sorted_plus_plus at the library's block size, labels
+    from brute_force_nearest. While a cluster is empty, the lowest empty one
     takes the point farthest from its centroid among clusters of two or
-    more (first index on ties), and the labels are counted again. Means sum by np.add.at. Stops when the labels
-    repeat, when the objective improves by 1e-6 of itself or less, or after
-    100 iterations. Returns (labels, centroids, objective, iterations,
-    repairs), repairs counting the points moved."""
+    more (first index on ties), and the labels are counted again. Means sum
+    by np.add.at. Stops when the labels repeat, when the objective improves
+    by 1e-6 of itself or less, or after 100 iterations. Returns (labels,
+    centroids, objective, iterations, repairs), repairs counting the points
+    moved."""
     pts = np.asarray(points, dtype=np.float64)
-    centroids = (brute_force_sorted_plus_plus(pts, c, seed, _MASS_BLOCK) if pts.shape[1] == 1
-                 else brute_force_plus_plus(pts, c, seed))
+    centroids = brute_force_sorted_plus_plus(pts, c, seed, _MASS_BLOCK)
     labels = np.full(len(pts), -1)
     prev, repairs = np.inf, 0
     for it in range(1, 101):

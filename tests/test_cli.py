@@ -340,3 +340,20 @@ def test_compress_bytes_independent_of_blas_threads(tmp_path):
                         OPENBLAS_NUM_THREADS=threads).check_returncode()
             containers.append(out.read_bytes())
         assert containers[0] == containers[1], groups
+
+
+def test_structured_d16_bytes_independent_of_blas_threads(tmp_path):
+    # 3000 rows in sub-vectors of d = 16 at c = 256: the dense assignment
+    # scores blocks of 512 rows, five whole ones and a partial one
+    rows, cols = 3000, 32
+    src = tmp_path / "in.raw"
+    src.write_bytes(np.random.default_rng(6).normal(size=(rows, cols)).astype("<f4").tobytes())
+    containers = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.gpqe"
+        cli_process("compress", "--input", str(src), "--format", "raw", "--rows", str(rows),
+                    "--cols", str(cols), "--scheme", "structured", "-g", "2", "-c", "256",
+                    "--seed", "1", "-o", str(out),
+                    OPENBLAS_NUM_THREADS=threads).check_returncode()
+        containers.append(out.read_bytes())
+    assert containers[0] == containers[1]

@@ -258,11 +258,11 @@ def sha256(data) -> str:
 PINNED_INPUTS = ((48, 12, 4, 6, 48), (64, 32, 2, 8, 64), (48, 12, 12, 6, 48), (24, 2, 2, 6, 2))
 PINNED = {
     ("pq", "structured"): ((
-        "b65fff6fd27a2ec354e355df4642662c418d2757efc742974d18f1aa9864013b",
-        "1f377207414f122b70c802bb4f05325dd305776df50c7e17a730ff17ea2f4625",
+        "a088613f484380efa8a4f980b32c96bf041ff3b2cc473410cff8d673c9a1985e",
+        "7865e70e47daf1017b02e467ea84da764a98bfebe6e9d3589c144c8fc0e6159c",
         None), (
-        "fa5cb9690aaa853bd334f0f2ab3843b0ac44961ad5be17079814668d8be9f9e9",
-        "a272538cbb7f5b8a01d39beeea79d1141d47aa4fd5d752f1c893b0a1a4a5deac",
+        "c26f0edfaa47bd6c07b3e50eaea9c0fd674828618922f27c4ec706dee6c703d7",
+        "3b939ebb66a142f1301f32a352dcf9492d8f79c094db7165dca6009723a2ea7d",
         None), (
         "26342e1f21854e9d3df01ab65177698a19675b0216763dbedfab9816f36f06e8",
         "826588010fea0865f6f07dc53f65270895c6d87440e60c3f9884b6a522707e83",
@@ -271,11 +271,11 @@ PINNED = {
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         None)),
     ("pq", "unified"): ((
-        "e7530f06becaf475c940336ce8d05b6a1787aa6a06dba9e59fd8a1be58e52d2e",
-        "11223b7a67b05c19eba779fccd39b3bdde851a61e7cdd937e0444896da90b0b1",
+        "efb896deb4f2a2fb4bcc67bae523fd7f2bb1aa0900085db7a182e6d3c3bd7ac2",
+        "d3b6e0966dc9cb21f0e89e20986d37378f955e2495244d6a2a8d096824bbbc9f",
         None), (
-        "b77eef1c88906d869533745bf3dc1bda9d6dc906dffcbeebabce0c2a0870f2f5",
-        "6316dbfb275dc9d5e96a8d837e0ddc65d925ab2f6c042e64b2a76e2280c1b5a3",
+        "17470da40b4bb606b99d9618d0d21530ce8bec21ef573c2888c493a06df07715",
+        "00e8965a31ee3841c83ebf59a9000b8ffb583c9b04e9d49c397a4da2c0fb3f09",
         None), (
         "a76dd213e95744d97ebe7f48ed133cd32686f0540b56acee390dc711d213e64c",
         "8075475489326ed224bd11bbb04f8ccd96267c72e257f31e26926e4500d1f766",
@@ -284,12 +284,12 @@ PINNED = {
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         None)),
     ("gpq", "structured"): ((
-        "0c78747c8ed257cd416332d24202731999c23d667db66c02ceb101dcb4ea59c3",
-        "1f377207414f122b70c802bb4f05325dd305776df50c7e17a730ff17ea2f4625",
-        "e39fba1f714070649ef3526f01f7a4ea078a4133a74d342325df981997fd2da1"), (
-        "f3019156028a2372461d668203018dadaef2f489c898dea32667a3061d3303b6",
-        "a272538cbb7f5b8a01d39beeea79d1141d47aa4fd5d752f1c893b0a1a4a5deac",
-        "f0f084a68eea5a8ca8b44aa014dc093b96963b53d691302a1862616484d0577c"), (
+        "f56d93cf52da459fe0fa9323ec9fcdcb77e50efbcab7727f631c98f03c9a6eb7",
+        "7865e70e47daf1017b02e467ea84da764a98bfebe6e9d3589c144c8fc0e6159c",
+        "69e699f950b8b07135b58dfea8ed17be7fe88d4edfda206fdcd6ee075bdec021"), (
+        "4c685c54238f93b09148f7664d3ff65f729bbc43e3c35809ae3abe51eb6a49f2",
+        "3b939ebb66a142f1301f32a352dcf9492d8f79c094db7165dca6009723a2ea7d",
+        "47c59e92309b58fafd667ac32b52fbcafae30bc829b11e743dc42a9e225c4b98"), (
         "6c99ab8cf0c733500b7c80f7704726a894a0f35a6a8581d28a2cb4fd3faaea60",
         "826588010fea0865f6f07dc53f65270895c6d87440e60c3f9884b6a522707e83",
         "5889572612d9a7785510e65dd39124668b6350c385b6e4ee818342d32ec125db"), (
@@ -297,12 +297,12 @@ PINNED = {
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8")),
     ("gpq", "unified"): ((
-        "0f4184a31c8a98ae2bebbd90a22b41a52cb43b5974bd53cc3ef53b2bde4fc01e",
-        "11223b7a67b05c19eba779fccd39b3bdde851a61e7cdd937e0444896da90b0b1",
-        "b929521daed9e5633381682b2fe25eccdb5e5e3d67740103b54a44e9b041f1c8"), (
-        "77c18d69bc7243547eb24114c83a08c2b0edfa9517c4df21a9190e9cb091ccb7",
-        "6316dbfb275dc9d5e96a8d837e0ddc65d925ab2f6c042e64b2a76e2280c1b5a3",
-        "2322f11c29be8f0e0b6fc4c997b764887e3cf02f5b0470a95c03c3cf51c16863"), (
+        "0edfddc595bdae3d2cf3747002e1ed8a0ea52d9c2cd906772ffda20913eee053",
+        "d3b6e0966dc9cb21f0e89e20986d37378f955e2495244d6a2a8d096824bbbc9f",
+        "86d45f424f56b9fb5f9aa4b8e33cea475d5dd2f9b65b22f236f188f101c71b89"), (
+        "cc6cba8e33820fccd7d4c717b2b5c643f3c63a7f9fcfd16611c6aa822b651b0a",
+        "00e8965a31ee3841c83ebf59a9000b8ffb583c9b04e9d49c397a4da2c0fb3f09",
+        "d6d723ec79c9bdc22bf149705b8815dadc15322628c2e6d95db284d4867c669c"), (
         "3969ee57a794aa9a3ef8255cb788bf94bd3adeb463be351b9109c6e2dc49b03b",
         "8075475489326ed224bd11bbb04f8ccd96267c72e257f31e26926e4500d1f766",
         "5653b8421df2fab97796ccd43a06ae2c40a852574ef3096f99d25511c4b6db0d"), (
