@@ -60,7 +60,7 @@ and above, where numpy sums pairwise, the two may differ by an ulp. When
 d == 1 a new center lowers d2 only strictly between its two chosen
 neighbours, so only those points and their blocks' totals are updated;
 when d > 1 every point is. Beside the canonical copy of the points (and,
-while it is made, the row hashes and their argsort), only d2 grows with m.
+while it is made, the row hashes, then their argsort), only d2 grows with m.
 """
 
 from __future__ import annotations
@@ -99,7 +99,14 @@ def _canonical(pts: np.ndarray, seed: int) -> np.ndarray:
     hashes = np.empty(m, dtype=np.uint64)
     for lo in range(0, m, _CHUNK_ROWS):
         hashes[lo:lo + _CHUNK_ROWS] = row_hashes(pts[lo:lo + _CHUNK_ROWS], seed)
-    return np.take(pts.T, np.argsort(hashes, kind="stable"), axis=1)
+    order = np.argsort(hashes, kind="stable")
+    del hashes
+    cols = np.empty((d, m))
+    # one column at a time, so no transposed copy of pts; the indices are in
+    # range, and "clip" spares take its m-long output buffer
+    for j in range(d):
+        np.take(pts[:, j], order, out=cols[j], mode="clip")
+    return cols
 
 
 def _seed(cols: np.ndarray, c: int, seed: int) -> np.ndarray:

@@ -388,7 +388,53 @@ def seed_of(pts, c, seed):
     return _seed(_canonical(np.asarray(pts, dtype=np.float64), seed), c, seed)
 
 
-@pytest.mark.parametrize("kind", ["duplicates", "blocks", "few_distinct", "overflow"])
+@pytest.fixture(params=[None, 1, 3], ids=["default", "chunk1", "chunk3"])
+def chunk_rows(request, monkeypatch):
+    """Seeding's row-hash blocks and d2 update passes: the module default,
+    or 1 or 3 points over d2 blocks of one point, so that a pass spans
+    several blocks and the points several passes. Returns the block size."""
+    if request.param is not None:
+        monkeypatch.setattr(KMEANS, "_CHUNK_ROWS", request.param)
+        monkeypatch.setattr(KMEANS, "_MASS_BLOCK", 1)
+    return KMEANS._MASS_BLOCK
+
+
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_plus_plus_matches_oracle(chunk_rows, d):
+    # rows of d independent coordinates, on scales spread over decades
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(40, d)) * np.exp(rng.normal(size=(40, d)))
+    for seed in range(3):
+        want = brute_force_sorted_plus_plus(pts, 9, seed, chunk_rows)
+        assert np.array_equal(seed_of(pts, 9, seed), want)
+
+
+def test_plus_plus_fewer_distinct_points_than_centers(chunk_rows):
+    # three distinct points: from step 3 on the total is 0 and picks are uniform
+    pts = np.array([[1.0, 2.0], [3.0, -1.0], [1.0, 2.0], [0.5, 0.5], [3.0, -1.0]] * 3)
+    for seed in range(3):
+        got = seed_of(pts, 7, seed)
+        assert np.array_equal(got, brute_force_sorted_plus_plus(pts, 7, seed, chunk_rows))
+        assert len(np.unique(got[:3], axis=0)) == 3
+
+
+def test_plus_plus_memory_bound():
+    # d > 1: beside the points, the canonical (d, m) copy, and while it is
+    # made the row hashes and their order, are m long; then d2 and two
+    # buffers of _CHUNK_ROWS points, together 1.5 m here
+    m = 4 * _CHUNK_ROWS
+    for d in (2, 16):
+        pts = np.random.default_rng(d).normal(size=(m, d))
+        tracemalloc.start()
+        try:
+            seed_of(pts, 4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d + 2.2) * m * 8, d
+
+
+@pytest.mark.parametrize("kind",["duplicates", "blocks", "few_distinct", "overflow"])
 def test_sorted_seeding_matches_oracle(mass_block, kind):
     rng = np.random.default_rng(3)
     if kind == "duplicates":  # 13 distinct values, many repeated
