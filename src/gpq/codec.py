@@ -18,7 +18,7 @@ import zlib
 import numpy as np
 
 from .errors import DataError, FormatError
-from .quantizer import (PartitionKind, PartitionScheme, QuantizedEmbedding,
+from .quantizer import (FLOAT_BITS, PartitionKind, PartitionScheme, QuantizedEmbedding,
                         compute_size_report, index_bit_width)
 
 MAGIC = b"GPQE"
@@ -32,23 +32,23 @@ _FLAG_UNIFIED = 0x02
 
 def pack_indices(values: np.ndarray, bits: int) -> bytes:
     """Pack a flat integer array at `bits` bits per entry, MSB-first."""
-    if bits == 0:
-        return b""
     vals = np.asarray(values, dtype=np.uint32).ravel()
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint32)
-    bitarr = ((vals[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    return np.packbits(bitarr).tobytes()
+    planes = np.empty((vals.size, bits), dtype=np.uint8)
+    for j in range(bits):
+        np.bitwise_and(vals >> (bits - 1 - j), 1, out=planes[:, j], casting="unsafe")
+    return np.packbits(planes).tobytes()
 
 
 def unpack_indices(data: bytes, count: int, bits: int) -> np.ndarray:
-    if bits == 0:
-        return np.zeros(count, dtype=np.uint32)
-    bitarr = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    needed = count * bits
-    if bitarr.size < needed:
+    if len(data) * 8 < count * bits:
         raise FormatError("truncated index section")
-    weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.uint32))
-    return bitarr[:needed].reshape(count, bits).astype(np.uint32) @ weights
+    planes = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
+                           count=count * bits).reshape(count, bits)
+    out = np.zeros(count, dtype=np.uint32)
+    for j in range(bits):
+        out <<= 1
+        out |= planes[:, j]
+    return out
 
 
 def encode(q: QuantizedEmbedding) -> bytes:
@@ -59,12 +59,12 @@ def encode(q: QuantizedEmbedding) -> bytes:
         flags |= _FLAG_UNIFIED
     out = bytearray()
     out += _HEADER.pack(MAGIC, VERSION, flags, q.rows, q.cols,
-                        q.scheme.groups, q.clusters, 32, q.seed)
+                        q.scheme.groups, q.clusters, FLOAT_BITS, q.seed)
     out += np.ascontiguousarray(q.codebook_means, dtype="<f4").tobytes()
     if q.codebook_vars is not None:
         out += np.ascontiguousarray(q.codebook_vars, dtype="<f4").tobytes()
     out += pack_indices(q.index_matrix, index_bit_width(q.clusters))
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
+    out += struct.pack("<I", zlib.crc32(out))
     return bytes(out)
 
 
@@ -80,7 +80,7 @@ def decode(data: bytes) -> QuantizedEmbedding:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
-    if f_p != 32:
+    if f_p != FLOAT_BITS:
         raise FormatError(f"unsupported float width {f_p}")
     if flags & ~(_FLAG_VARS | _FLAG_UNIFIED):
         raise FormatError(f"unknown flag bits {flags:#04x}")
@@ -95,7 +95,7 @@ def decode(data: bytes) -> QuantizedEmbedding:
             raise FormatError("truncated stream")
         if len(data) > expected:
             raise FormatError("trailing bytes after container")
-        if zlib.crc32(data[:-4]) != struct.unpack_from("<I", data, expected - 4)[0]:
+        if zlib.crc32(memoryview(data)[:-4]) != struct.unpack_from("<I", data, expected - 4)[0]:
             raise FormatError("CRC mismatch")
         # a c = 1 container stores no index bits, so its length does not bound rows
         if rows * groups * 4 > sys.maxsize:
@@ -107,7 +107,7 @@ def decode(data: bytes) -> QuantizedEmbedding:
         shape = (2 if has_vars else 1, scheme.blocks, clusters, cols // groups)
         books = np.frombuffer(data, dtype="<f4", count=np.prod(shape),
                               offset=HEADER_SIZE).reshape(shape).copy()
-        index = unpack_indices(data[HEADER_SIZE + books.nbytes:-4], rows * groups,
+        index = unpack_indices(memoryview(data)[HEADER_SIZE + books.nbytes:-4], rows * groups,
                                index_bit_width(clusters)).reshape(rows, groups)
         return QuantizedEmbedding(scheme, index, books[0], books[1] if has_vars else None,
                                   seed)

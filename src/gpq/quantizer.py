@@ -87,7 +87,7 @@ class QuantizedEmbedding:
             raise DataError(
                 f"codebook shape {self.codebook_means.shape} != ({blocks}, clusters, cols/{g})")
         size_report(self)  # checks the header numbers
-        if self.index_matrix.min() < 0 or self.index_matrix.max() >= self.clusters:
+        if self.index_matrix.max() >= self.clusters:
             raise DataError("index matrix entry out of range")
         if not np.all(np.isfinite(self.codebook_means)):
             raise DataError("non-finite mean in codebook")

@@ -4,15 +4,15 @@ These deliberately avoid the library's own code paths: clustering by
 exhaustive assignment enumeration, nearest centroids by explicit
 differences, neighbors by a full cosine table, k-means++ seeding over the
 whole array at once (only the row hashes, the uniform stream and the mass
-block size are shared with the library), word2vec text by one float() per
-value.
+block size are shared with the library), index bits through a count x bits
+shift table, word2vec text by one float() per value.
 """
 
 from typing import BinaryIO
 
 import numpy as np
 
-from gpq import DataError, EmbeddingMatrix
+from gpq import DataError, EmbeddingMatrix, FormatError
 from gpq.kmeans import _MASS_BLOCK
 from gpq.rng import SplitMix64, row_hashes
 
@@ -137,6 +137,27 @@ def plain_lloyd(points, c: int, seed: int):
             break
         prev = obj
     return labels, centroids, obj, it, repairs
+
+
+def pack_indices(values: np.ndarray, bits: int) -> bytes:
+    """Pack a flat integer array at `bits` bits per entry, MSB-first."""
+    if bits == 0:
+        return b""
+    vals = np.asarray(values, dtype=np.uint32).ravel()
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint32)
+    bitarr = ((vals[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+    return np.packbits(bitarr).tobytes()
+
+
+def unpack_indices(data: bytes, count: int, bits: int) -> np.ndarray:
+    if bits == 0:
+        return np.zeros(count, dtype=np.uint32)
+    bitarr = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    needed = count * bits
+    if bitarr.size < needed:
+        raise FormatError("truncated index section")
+    weights = (1 << np.arange(bits - 1, -1, -1, dtype=np.uint32))
+    return bitarr[:needed].reshape(count, bits).astype(np.uint32) @ weights
 
 
 def load_word2vec_text(source: BinaryIO) -> EmbeddingMatrix:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import pack_indices as reference_pack, unpack_indices as reference_unpack
 from gpq import (DataError, EmbeddingMatrix, FormatError, PartitionKind, PartitionScheme,
                  QuantizedEmbedding, ReconstructMode, RweConfig, gpq_compress, pq_compress,
                  reconstruct, rwe_generate)
@@ -49,6 +51,57 @@ class TestBitPacking:
         rng = np.random.default_rng(bits)
         vals = rng.integers(0, 2**bits, size=100).astype(np.uint32)
         assert np.array_equal(unpack_indices(pack_indices(vals, bits), 100, bits), vals)
+
+
+@st.composite
+def index_arrays(draw):
+    bits = draw(st.integers(0, 32))
+    count = draw(st.integers(0, 80))
+    top = 2**bits - 1
+    vals = draw(st.lists(st.one_of(st.sampled_from([0, top]), st.integers(0, top)),
+                         min_size=count, max_size=count))
+    return np.array(vals, dtype=np.uint32), bits
+
+
+@given(index_arrays())
+@example((np.array([0, 2**32 - 1, 1], dtype=np.uint32), 32))
+@example((np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint32), 1))  # 7 bits: one padding bit
+@example((np.zeros(5, dtype=np.uint32), 0))
+@settings(max_examples=300, deadline=None)
+def test_packing_matches_shift_table_oracle(case):
+    vals, bits = case
+    packed = pack_indices(vals, bits)
+    assert packed == reference_pack(vals, bits)
+    for unpack in (unpack_indices, reference_unpack):
+        back = unpack(packed, vals.size, bits)
+        assert back.dtype == np.uint32 and np.array_equal(back, vals)
+        if packed:
+            with pytest.raises(FormatError, match="truncated"):
+                unpack(packed[:-1], vals.size, bits)
+
+
+def test_codec_peak_memory_bounded_by_index():
+    # a 2^22-entry, 6-bit index (8192x512 unified, c = 50): the bit planes
+    # take 1.5x the uint32 index, which leaves room for one index-sized
+    # temporary but not for a count x bits table of words
+    rng = np.random.default_rng(0)
+    index = rng.integers(0, 50, size=(8192, 512)).astype(np.uint32)
+    means = rng.normal(size=(1, 50, 1)).astype(np.float32)
+    q = QuantizedEmbedding(PartitionScheme(PartitionKind.UNIFIED, 512), index, means, None, 0)
+    packed = pack_indices(index, 6)
+    data = encode(q)
+
+    def peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for fn, args in ((pack_indices, (index, 6)), (unpack_indices, (packed, index.size, 6)),
+                     (encode, (q,)), (decode, (data,))):
+        assert peak(fn, *args) <= 3 * index.nbytes, fn.__name__
 
 
 class TestContainer:
