@@ -3,6 +3,7 @@ nearest-neighbor overlap under cosine similarity."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from .embio import EmbeddingMatrix
 from .errors import DataError
 
-_BLOCK_BYTES = 1 << 24  # bytes of float64 similarities per block of rows
+_BLOCK_BYTES = 1 << 24  # rows per block: as many as this many bytes of float64 scores hold
 
 
 @dataclass(frozen=True)
@@ -31,38 +32,83 @@ class FidelityReport:
 
 def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
     """Row indices of the k most cosine-similar other rows, per row, most
-    similar first. Ties resolve to the lower row index.
+    similar first, by float64 cosine. Ties resolve to the lower row index.
 
-    Rows are scored in blocks of about _BLOCK_BYTES of float64
-    similarities (at least one row), so no temporary grows with V^2.
-    argpartition picks k candidates per row; a row with more than k
-    similarities at or above its k-th value has a tie the partition may
-    have cut arbitrarily, and only such rows are re-ranked by a stable
-    argsort.
+    Rows are screened in blocks of _BLOCK_BYTES // (8 V) rows (at least
+    one), so no temporary grows with V^2. float32 only screens: every
+    column of a row's float64 top k, ties included, survives it. A row
+    with few survivors re-scores just those in float64; the others (zero
+    rows, many duplicates) are scored against every column by _rank_all,
+    gathered over all blocks.
     """
-    x = values.astype(np.float64)
-    norms = np.linalg.norm(x, axis=1)
+    unit = values.astype(np.float64)
+    norms = np.linalg.norm(unit, axis=1)
     norms[norms == 0.0] = 1.0
-    unit = x / norms[:, None]
-    v = unit.shape[0]
+    unit /= norms[:, None]
+    unit32 = unit.astype(np.float32)
+    v, d = unit.shape
+    # With ε = 2**-24, the float32 score s32 of two unit rows' binary32
+    # roundings errs from their float64 score s64 by e <= expm1((d + 2)ε)
+    # plus d·2**-53: each coordinate rounds once to binary32, a binary32
+    # dot product in any summation order has at most d roundings on any
+    # path, and the float64 one errs by at most d·2**-53. Each of the k
+    # least s64 has s64 <= kth32 + e (k columns have s32 <= kth32), so
+    # s32 <= kth32 + 2e, ties included. The float32 sum kth32 + slack
+    # rounds down by at most ε·|kth32 + slack|. 2·expm1((d + 6)ε), about
+    # (d + 6)·2**-23, covers both for d <= 2**29.
+    slack = np.float32(2 * math.expm1((d + 6) * 2.0 ** -24))
     step = max(1, _BLOCK_BYTES // (8 * v))
     out = np.empty((v, k), dtype=np.intp)
+    many = []
     for lo in range(0, v, step):
-        # -cos, exactly, so ascending order is most similar first. The
-        # negated block is a new array, so numpy never takes its syrk path
-        # for an array times its own transpose: syrk does not round every
-        # entry alike, and duplicate rows would stop tying.
-        neg = (-unit[lo:lo + step]) @ unit.T
-        np.fill_diagonal(neg[:, lo:], np.inf)  # never one's own neighbour
-        pick = np.argpartition(neg, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(neg, pick[:, k - 1:], axis=1)
-        tied = np.count_nonzero(neg <= kth, axis=1) > k
-        if tied.any():
-            pick[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
-        score = np.take_along_axis(neg, pick, axis=1)
-        order = np.lexsort((pick, score), axis=1)
-        out[lo:lo + step] = np.take_along_axis(pick, order, axis=1)
+        count, few, rows, cols = _screen(unit32, lo, step, k, slack)
+        out[lo + np.flatnonzero(few)] = _rank_survivors(unit, lo + rows, cols, count[few], k)
+        many.append(lo + np.flatnonzero(~few))
+    many = np.concatenate(many)
+    for lo in range(0, len(many), step):
+        out[many[lo:lo + step]] = _rank_all(unit, many[lo:lo + step], k)
     return out
+
+
+def _screen(unit32: np.ndarray, lo: int, step: int, k: int, slack: np.float32):
+    """For rows lo:lo + step: how many columns have a float32 -cos at most
+    the row's k-th smallest plus slack (never fewer than k); which rows
+    have few enough to re-score (count·d <= V, so re-scoring holds no more
+    than _rank_all would); and their columns as ascending (row, column)
+    pairs."""
+    v, d = unit32.shape
+    neg = (-unit32[lo:lo + step]) @ unit32.T  # -cos: most similar first
+    np.fill_diagonal(neg[:, lo:], np.inf)  # never one's own neighbour
+    bound = np.partition(neg, k - 1, axis=1)[:, k - 1] + slack
+    flat = np.flatnonzero(neg <= bound[:, None])
+    count = np.diff(np.searchsorted(flat, v * np.arange(len(neg) + 1)))
+    few = count * d <= v
+    return count, few, *np.divmod(flat[np.repeat(few, count)], v)
+
+
+def _rank_survivors(unit: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    count: np.ndarray, k: int) -> np.ndarray:
+    """Top k of each row's survivors by float64 cos, ties to the lower
+    column. (rows, cols) lists the survivors in ascending order, `count`
+    per row. Each score is an elementwise product and a last-axis sum,
+    whose order is fixed by d alone, so duplicate rows tie."""
+    prod = unit[cols]
+    prod *= unit[rows]
+    order = np.lexsort((cols, -prod.sum(axis=1), rows))
+    first = np.cumsum(count) - count
+    return cols[order[first[:, None] + np.arange(k)]]
+
+
+def _rank_all(unit: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Top k of `rows` against every row by float64 -cos and a stable
+    argsort, so ties go to the lower index. Duplicate rows tie only if
+    gemm rounds every score alike, so a lone row goes in twice: numpy
+    would hand it to gemv, whose column blocking rounds copies apart, as
+    syrk would (unit[rows] is a new array, so numpy never picks syrk)."""
+    neg = (-unit[np.resize(rows, max(2, len(rows)))]) @ unit.T
+    neg = neg[:len(rows)]
+    neg[np.arange(len(rows)), rows] = np.inf
+    return np.argsort(neg, axis=1, kind="stable")[:, :k]
 
 
 def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int) -> FidelityReport:

@@ -5,7 +5,8 @@ exhaustive assignment enumeration, nearest centroids by explicit
 differences, neighbors by a full cosine table, k-means++ seeding over the
 whole array at once (only the row hashes, the uniform stream and the mass
 block size are shared with the library), index bits through a count x bits
-shift table, word2vec text by one float() per value.
+shift table, word2vec text by one float() per value, and top-k neighbours
+by a float64 table of every block's scores and argpartition.
 """
 
 from typing import BinaryIO
@@ -57,6 +58,43 @@ def brute_force_topk_cosine(values, k: int) -> list[list[int]]:
             sims.append((-(x[i] @ x[j]) / (denom if denom else 1.0), j))
         sims.sort()
         out.append([j for _, j in sims[:k]])
+    return out
+
+
+def argpartition_topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
+    """Row indices of the k most cosine-similar other rows, per row, most
+    similar first. Ties resolve to the lower row index.
+
+    Rows are scored in blocks of about _BLOCK_BYTES of float64
+    similarities (at least one row), so no temporary grows with V^2.
+    argpartition picks k candidates per row; a row with more than k
+    similarities at or above its k-th value has a tie the partition may
+    have cut arbitrarily, and only such rows are re-ranked by a stable
+    argsort.
+    """
+    _BLOCK_BYTES = 1 << 24
+    x = values.astype(np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    norms[norms == 0.0] = 1.0
+    unit = x / norms[:, None]
+    v = unit.shape[0]
+    step = max(1, _BLOCK_BYTES // (8 * v))
+    out = np.empty((v, k), dtype=np.intp)
+    for lo in range(0, v, step):
+        # -cos, exactly, so ascending order is most similar first. The
+        # negated block is a new array, so numpy never takes its syrk path
+        # for an array times its own transpose: syrk does not round every
+        # entry alike, and duplicate rows would stop tying.
+        neg = (-unit[lo:lo + step]) @ unit.T
+        np.fill_diagonal(neg[:, lo:], np.inf)  # never one's own neighbour
+        pick = np.argpartition(neg, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(neg, pick[:, k - 1:], axis=1)
+        tied = np.count_nonzero(neg <= kth, axis=1) > k
+        if tied.any():
+            pick[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+        score = np.take_along_axis(neg, pick, axis=1)
+        order = np.lexsort((pick, score), axis=1)
+        out[lo:lo + step] = np.take_along_axis(pick, order, axis=1)
     return out
 
 

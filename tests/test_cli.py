@@ -324,13 +324,17 @@ def test_compress_deterministic(tmp_path, capsys, w2v_file):
 
 
 def test_compress_bytes_independent_of_blas_threads(tmp_path):
-    # unified over 40000 rows: 4 groups stack 160000 2-D points, several
-    # dense blocks; 8 groups stack 320000 1-D points for the sorted kernel
+    # unified over 40000 rows: 4 groups stack 160000 2-D points, more than
+    # one seeding pass of _CHUNK_ROWS and many dense assignment blocks of
+    # 2**20 // (8 c) rows; 8 groups stack 320000 1-D points for the sorted
+    # kernel
     rows, cols = 40000, 8
     src = tmp_path / "in.raw"
     src.write_bytes(np.random.default_rng(5).normal(size=(rows, cols)).astype("<f4").tobytes())
     for groups in (4, 8):
         assert rows * groups > _CHUNK_ROWS
+        if groups == 4:
+            assert rows * groups > 2**20 // (8 * 16)
         containers = []
         for threads in ("1", "2"):
             out = tmp_path / f"g{groups}threads{threads}.gpqe"
@@ -357,3 +361,29 @@ def test_structured_d16_bytes_independent_of_blas_threads(tmp_path):
                     OPENBLAS_NUM_THREADS=threads).check_returncode()
         containers.append(out.read_bytes())
     assert containers[0] == containers[1]
+
+
+def test_compare_output_independent_of_blas_threads(tmp_path):
+    # 3000 rows make five blocks of 699. Rows near row 5's 60 copies, and
+    # the zero rows, keep more than V/d = 46 columns through the float32
+    # screen and are scored against every row; the rest re-score their
+    # survivors
+    rows, cols = 3000, 64
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(rows, cols)).astype(np.float32)
+    a[100:160] = a[5]
+    a[2000:2003] = 0.0
+    b = (a + rng.normal(scale=0.3, size=a.shape)).astype(np.float32)
+    paths = []
+    for name, m in (("a", a), ("b", b)):
+        paths.append(tmp_path / f"{name}.raw")
+        paths[-1].write_bytes(m.astype("<f4").tobytes())
+    outputs = []
+    for threads in ("1", "2"):
+        proc = cli_process("compare", "--original", str(paths[0]), "--reconstructed",
+                           str(paths[1]), "--format", "raw", "--rows", str(rows),
+                           "--cols", str(cols), "--report", "json",
+                           OPENBLAS_NUM_THREADS=threads)
+        proc.check_returncode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

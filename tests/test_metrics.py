@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gpq import DataError, EmbeddingMatrix, fidelity, metrics
+from gpq import (DataError, EmbeddingMatrix, PartitionKind, PartitionScheme, RweConfig,
+                 fidelity, gpq_compress, metrics, pq_compress, reconstruct, rwe_generate)
 
-from _oracles import brute_force_topk_cosine
+from _oracles import argpartition_topk_neighbors, brute_force_topk_cosine
 
 
 def emb(values):
@@ -134,3 +135,140 @@ def test_fidelity_memory_below_one_similarity_table():
     finally:
         tracemalloc.stop()
     assert peak < 4000 * 4000 * 8
+
+
+def _rwe_and_reconstruction(shape, seed):
+    """RWE at a reduced benchmark shape and its PQ or GPQ reconstruction:
+    structured g=8 on 128 columns, or unified d = 1 on 64."""
+    rows, cols = shape
+    e = rwe_generate(RweConfig(rows, cols, seed))
+    if cols == 128:
+        q = pq_compress(e, PartitionScheme(PartitionKind.STRUCTURED, 8), 32, seed=seed)
+    else:
+        q = gpq_compress(e, PartitionScheme(PartitionKind.UNIFIED, 64), 50, seed=seed)
+    return e.values, reconstruct(q).values
+
+
+@pytest.mark.parametrize("block_rows", [None, 3, 1])
+@pytest.mark.parametrize("shape", [(1500, 128), (700, 64)], ids=["structured", "unified"])
+def test_topk_matches_argpartition_reference(monkeypatch, shape, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * shape[0] * block_rows)
+    for seed in (0, 1):
+        for vals in _rwe_and_reconstruction(shape, seed):
+            for k in (1, 10):
+                assert np.array_equal(metrics._topk_neighbors(vals, k),
+                                      argpartition_topk_neighbors(vals, k))
+
+
+def _near_tie_case():
+    """Rows 0-5 differ only by one float32 ulp in coordinate 0, plus a
+    private coordinate each. Against row 6 (the first axis) their float32
+    scores tie in pairs, but their float64 scores are 4.5e-8 apart, and
+    they are its six nearest. Then come 40 random rows, two zero rows and
+    a copy of row 9: last, where gemv's column blocking (V = 50 is not a
+    multiple of 4) would round it apart from row 9 for some rows."""
+    d, m = 8, 6
+    ties = np.zeros((m, d), dtype=np.float32)
+    ties[:, 0] = 0.5
+    for i in range(1, m):
+        ties[i, 0] = np.nextafter(ties[i - 1, 0], np.float32(1))
+    ties[np.arange(m), 1 + np.arange(m)] = 0.8
+    axis = np.eye(1, d, dtype=np.float32)
+    other = np.random.default_rng(8).normal(size=(40, d)).astype(np.float32)
+    other[:, 0] = -abs(other[:, 0])  # farther from the first axis than rows 0-5
+    return np.concatenate([ties[::-1], axis, other, np.zeros((2, d), np.float32), other[2:3]])
+
+
+def test_near_tie_case_defeats_float32():
+    vals = _near_tie_case()
+    unit = vals[:7].astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    s32 = unit[:6].astype(np.float32) @ unit[6].astype(np.float32)
+    s64 = unit[:6] @ unit[6]
+    assert len(set(s32.tolist())) < 6 and np.all(np.diff(s64) < 0)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3, 1])
+def test_topk_near_ties_duplicates_and_zero_rows(monkeypatch, block_rows):
+    vals = _near_tie_case()
+    v = len(vals)
+    if block_rows is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * v * block_rows)
+    seen = {}
+    for name in ("_rank_all", "_rank_survivors"):
+        def spy(unit, rows, *args, rank=getattr(metrics, name), name=name):
+            seen[name] |= set(rows.tolist())
+            return rank(unit, rows, *args)
+        monkeypatch.setattr(metrics, name, spy)
+    expected = np.array(brute_force_topk_cosine(vals, v - 1))
+    split_seen = set()
+    for k in range(1, v - 1):
+        seen.update(_rank_all=set(), _rank_survivors=set())
+        assert np.array_equal(metrics._topk_neighbors(vals, k), expected[:, :k])
+        # zero rows tie with every column, so they are scored against all
+        assert {v - 3, v - 2} <= seen["_rank_all"]
+        # the first axis keeps rows 0-5 through the screen and re-scores them
+        if k <= 6:
+            assert 6 in seen["_rank_survivors"]
+        # a row whose k-th neighbour is one copy and whose next is the other
+        for i in range(v):
+            if {*expected[i, k - 1:k + 1]} == {9, v - 1}:
+                split_seen |= {name for name in seen if i in seen[name]}
+    assert split_seen == {"_rank_all", "_rank_survivors"}
+
+
+def test_topk_keeps_what_float32_misorders():
+    # row 0's nearest are 40 rows at cosine 0.9 + 2.5e-8 m, closer than
+    # float32 scores resolve; 660 rows pointing away from row 0 follow
+    d, m = 16, 40
+    rng = np.random.default_rng(9)
+    q = rng.normal(size=d)
+    q /= np.linalg.norm(q)
+    r = rng.normal(size=(m, d))
+    r -= np.outer(r @ q, q)
+    r /= np.linalg.norm(r, axis=1)[:, None]
+    c = 0.9 + 2.5e-8 * np.arange(m)[:, None]
+    far = rng.normal(size=(660, d))
+    far -= np.outer(np.maximum(far @ q, 0) + 0.1, q)
+    vals = np.concatenate([q[None], c * q + np.sqrt(1 - c**2) * r, far]).astype(np.float32)
+    unit = vals[:m + 1].astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    neg32 = -(unit[1:].astype(np.float32) @ unit[0].astype(np.float32))
+    neg64 = -(unit[1:] @ unit[0])
+    dropped = 0
+    for k in range(1, m, 2):
+        # columns a screen without slack would keep against row 0's true top k
+        kept = neg32 <= np.partition(neg32, k - 1)[k - 1]
+        dropped += not kept[np.argsort(neg64, kind="stable")[:k]].all()
+        assert np.array_equal(metrics._topk_neighbors(vals, k),
+                              argpartition_topk_neighbors(vals, k))
+    assert dropped
+
+
+def test_rescored_copies_tie_wherever_they_sit():
+    # row 0's survivors end in a copy of column 1; a sum whose order
+    # depends on position, such as BLAS's matrix-vector product, rounds
+    # the copy apart from column 1 for some n
+    rng = np.random.default_rng(10)
+    for d in (8, 16, 64):
+        for n in range(2, 40):
+            unit = rng.normal(size=(n + 1, d))
+            unit[n] = unit[1]
+            ranked = metrics._rank_survivors(unit, np.zeros(n, np.intp), np.arange(1, n + 1),
+                                             np.array([n]), n)[0].tolist()
+            assert ranked.index(n) == ranked.index(1) + 1
+
+
+def test_topk_memory_unit_copies_and_two_float32_blocks():
+    rng = np.random.default_rng(7)
+    v, d = 4000, 128
+    a = rng.normal(size=(v, d)).astype(np.float32)
+    block32 = 4 * v * (metrics._BLOCK_BYTES // (8 * v))
+    tracemalloc.start()
+    try:
+        metrics._topk_neighbors(a, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (8 + 4) * v * d + 2.25 * block32
