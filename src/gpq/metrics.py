@@ -51,11 +51,11 @@ def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
     # roundings errs from their float64 score s64 by e <= expm1((d + 2)ε)
     # plus d·2**-53: each coordinate rounds once to binary32, a binary32
     # dot product in any summation order has at most d roundings on any
-    # path, and the float64 one errs by at most d·2**-53. Each of the k
-    # least s64 has s64 <= kth32 + e (k columns have s32 <= kth32), so
-    # s32 <= kth32 + 2e, ties included. The float32 sum kth32 + slack
-    # rounds down by at most ε·|kth32 + slack|. 2·expm1((d + 6)ε), about
-    # (d + 6)·2**-23, covers both for d <= 2**29.
+    # path, and the float64 one errs by at most d·2**-53. If B is at least
+    # the row's k-th least s32, each of its k least s64 has s64 <= B + e
+    # (k columns have s32 <= B), so s32 <= B + 2e, ties included. The
+    # float32 sum B + slack rounds down by at most ε·|B + slack|.
+    # 2·expm1((d + 6)ε), about (d + 6)·2**-23, covers both for d <= 2**29.
     slack = np.float32(2 * math.expm1((d + 6) * 2.0 ** -24))
     step = max(1, _BLOCK_BYTES // (8 * v))
     out = np.empty((v, k), dtype=np.intp)
@@ -71,16 +71,22 @@ def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def _screen(unit32: np.ndarray, lo: int, step: int, k: int, slack: np.float32):
-    """For rows lo:lo + step: how many columns have a float32 -cos at most
-    the row's k-th smallest plus slack (never fewer than k); which rows
-    have few enough to re-score (count·d <= V, so re-scoring holds no more
-    than _rank_all would); and their columns as ascending (row, column)
-    pairs."""
+    """For rows lo:lo + step: how many other columns (at least k) have a
+    float32 -cos at most B + slack, where B, the k-th smallest of the
+    row's minima over groups of columns, is at least the row's k-th
+    smallest -cos; which rows have few enough to re-score (count·d <= V,
+    so re-scoring holds no more than _rank_all would); and their columns
+    as ascending (row, column) pairs."""
     v, d = unit32.shape
     neg = (-unit32[lo:lo + step]) @ unit32.T  # -cos: most similar first
     np.fill_diagonal(neg[:, lo:], np.inf)  # never one's own neighbour
-    bound = np.partition(neg, k - 1, axis=1)[:, k - 1] + slack
-    flat = np.flatnonzero(neg <= bound[:, None])
+    # column j joins group j % g, g about V/16: a pass of minima, then a
+    # partition of g values instead of V
+    g = max(k, v // 16)
+    mins = neg[:, :g * (v // g)].reshape(len(neg), -1, g).min(axis=1)
+    keep = neg <= (np.partition(mins, k - 1, axis=1)[:, k - 1] + slack)[:, None]
+    np.fill_diagonal(keep[:, lo:], False)  # a group of the diagonal alone has B = inf
+    flat = np.flatnonzero(keep)
     count = np.diff(np.searchsorted(flat, v * np.arange(len(neg) + 1)))
     few = count * d <= v
     return count, few, *np.divmod(flat[np.repeat(few, count)], v)

@@ -246,6 +246,19 @@ def test_topk_keeps_what_float32_misorders():
     assert dropped
 
 
+@pytest.mark.parametrize("block_rows", [None, 3, 1])
+def test_topk_one_column_matches_brute_force(monkeypatch, block_rows):
+    # at d = 1 every row re-scores its survivors, and for k > V/2 a group
+    # of the screen holding only the diagonal makes its bound infinite
+    vals = np.array([[0.5], [-1], [2], [0], [3], [-0.25], [1], [-2], [0], [4]], np.float32)
+    v = len(vals)
+    if block_rows is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * v * block_rows)
+    expected = np.array(brute_force_topk_cosine(vals, v - 1))
+    for k in range(1, v):
+        assert np.array_equal(metrics._topk_neighbors(vals, k), expected[:, :k])
+
+
 def test_rescored_copies_tie_wherever_they_sit():
     # row 0's survivors end in a copy of column 1; a sum whose order
     # depends on position, such as BLAS's matrix-vector product, rounds
@@ -260,7 +273,9 @@ def test_rescored_copies_tie_wherever_they_sit():
             assert ranked.index(n) == ranked.index(1) + 1
 
 
-def test_topk_memory_unit_copies_and_two_float32_blocks():
+def test_topk_memory_unit_copies_and_a_float32_block():
+    # the float64 and float32 unit copies, one block of float32 scores and
+    # its keep mask (a quarter block), with room for small arrays
     rng = np.random.default_rng(7)
     v, d = 4000, 128
     a = rng.normal(size=(v, d)).astype(np.float32)
@@ -271,4 +286,4 @@ def test_topk_memory_unit_copies_and_two_float32_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (8 + 4) * v * d + 2.25 * block32
+    assert peak < (8 + 4) * v * d + 1.5 * block32
