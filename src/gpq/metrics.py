@@ -35,18 +35,16 @@ def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
     similar first, by float64 cosine. Ties resolve to the lower row index.
 
     Rows are screened in blocks of _BLOCK_BYTES // (8 V) rows (at least
-    one), so no temporary grows with V^2. float32 only screens: every
-    column of a row's float64 top k, ties included, survives it. A row
-    with few survivors re-scores just those in float64; the others (zero
-    rows, many duplicates) are scored against every column by _rank_all,
-    gathered over all blocks.
+    one), so no temporary grows with V^2. Every column of a row's float64
+    top k, ties included, survives the float32 screen, and the float32
+    order of the survivors is the answer where the error bound separates
+    them. Other rows with few survivors re-score just those in float64;
+    the rest (zero rows, many duplicates) are scored against every column
+    by _rank_all, gathered over all blocks.
     """
-    unit = values.astype(np.float64)
-    norms = np.linalg.norm(unit, axis=1)
-    norms[norms == 0.0] = 1.0
-    unit /= norms[:, None]
-    unit32 = unit.astype(np.float32)
-    v, d = unit.shape
+    v, d = values.shape
+    step = max(1, _BLOCK_BYTES // (8 * v))
+    unit = _UnitRows(values, step)
     # With ε = 2**-24, the float32 score s32 of two unit rows' binary32
     # roundings errs from their float64 score s64 by e <= expm1((d + 2)ε)
     # plus d·2**-53: each coordinate rounds once to binary32, a binary32
@@ -56,27 +54,66 @@ def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
     # (k columns have s32 <= B), so s32 <= B + 2e, ties included. The
     # float32 sum B + slack rounds down by at most ε·|B + slack|.
     # 2·expm1((d + 6)ε), about (d + 6)·2**-23, covers both for d <= 2**29.
+    # Sort a row's survivors by s32: t_0 <= t_1 <= ... If t_(p+1) - t_p,
+    # rounded to float64, exceeds slack > 2e for p = 0 .. k - 1 (p = k - 1
+    # only when there are more than k survivors), then since rounding is
+    # monotone and slack is a float64, each true gap exceeds 2e, and
+    # s64_p <= t_p + e < t_(p+1) - e <= s64_(p+1): positions 0 .. k hold
+    # strictly rising s64, and every later survivor has s64 >= t_k - e >
+    # s64_(k-1). So the first k are the float64 top k of the survivors, in
+    # float64 order and without ties, and so of all columns, as every
+    # column of the float64 top k survives.
     slack = np.float32(2 * math.expm1((d + 6) * 2.0 ** -24))
-    step = max(1, _BLOCK_BYTES // (8 * v))
     out = np.empty((v, k), dtype=np.intp)
     many = []
     for lo in range(0, v, step):
-        count, few, rows, cols = _screen(unit32, lo, step, k, slack)
-        out[lo + np.flatnonzero(few)] = _rank_survivors(unit, lo + rows, cols, count[few], k)
+        few, count, rows, cols, neg = _screen(unit.unit32, lo, step, k, slack)
+        ids = lo + np.flatnonzero(few)
+        top, settled = _by_screen(rows, cols, neg, count, k, slack)
+        out[ids[settled]] = top[settled]
+        near = np.repeat(~settled, count)
+        out[ids[~settled]] = _rank_survivors(unit, lo + rows[near], cols[near],
+                                             count[~settled], k)
         many.append(lo + np.flatnonzero(~few))
     many = np.concatenate(many)
+    whole = unit[:] if len(many) else None
     for lo in range(0, len(many), step):
-        out[many[lo:lo + step]] = _rank_all(unit, many[lo:lo + step], k)
+        out[many[lo:lo + step]] = _rank_all(whole, many[lo:lo + step], k)
     return out
 
 
+def _nonzero(norms: np.ndarray) -> np.ndarray:
+    norms[norms == 0.0] = 1.0  # a zero row stays zero
+    return norms
+
+
+class _UnitRows:
+    """float64 unit rows of `values`, made only for the rows asked for:
+    values[idx].astype(float64) / norms[idx, None] holds the same bits as
+    those rows of the whole float64 unit matrix. Its norms and float32
+    rounding `unit32` are made `step` rows at a time."""
+
+    def __init__(self, values: np.ndarray, step: int):
+        self.values, self.norms = values, np.empty(len(values))
+        self.unit32 = np.empty(values.shape, dtype=np.float32)
+        for lo in range(0, len(values), step):
+            rows = values[lo:lo + step].astype(np.float64)
+            self.norms[lo:lo + step] = _nonzero(np.linalg.norm(rows, axis=1))
+            rows /= self.norms[lo:lo + step, None]
+            self.unit32[lo:lo + step] = rows
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self.values[idx].astype(np.float64) / self.norms[idx, None]
+
+
 def _screen(unit32: np.ndarray, lo: int, step: int, k: int, slack: np.float32):
-    """For rows lo:lo + step: how many other columns (at least k) have a
-    float32 -cos at most B + slack, where B, the k-th smallest of the
-    row's minima over groups of columns, is at least the row's k-th
-    smallest -cos; which rows have few enough to re-score (count·d <= V,
-    so re-scoring holds no more than _rank_all would); and their columns
-    as ascending (row, column) pairs."""
+    """For rows lo:lo + step, the survivors: other columns (at least k)
+    with a float32 -cos at most B + slack, where B, the k-th smallest of
+    the row's minima over groups of columns, is at least the row's k-th
+    smallest -cos. Returns which rows have few enough to re-score (count·d
+    <= V, so re-scoring holds no more than _rank_all would), and for those
+    their counts, their survivors as ascending (row, column) pairs and
+    the survivors' float32 -cos."""
     v, d = unit32.shape
     neg = (-unit32[lo:lo + step]) @ unit32.T  # -cos: most similar first
     np.fill_diagonal(neg[:, lo:], np.inf)  # never one's own neighbour
@@ -89,7 +126,25 @@ def _screen(unit32: np.ndarray, lo: int, step: int, k: int, slack: np.float32):
     flat = np.flatnonzero(keep)
     count = np.diff(np.searchsorted(flat, v * np.arange(len(neg) + 1)))
     few = count * d <= v
-    return count, few, *np.divmod(flat[np.repeat(few, count)], v)
+    flat = flat[np.repeat(few, count)]
+    return few, count[few], *np.divmod(flat, v), neg.ravel()[flat]
+
+
+def _by_screen(rows: np.ndarray, cols: np.ndarray, neg: np.ndarray,
+               count: np.ndarray, k: int, slack: np.float32):
+    """Each row's first k survivors by (float32 -cos, column), and whether
+    that is the float64 order: every gap between positions 0 .. k (k only
+    if it exists) exceeds slack (see _topk_neighbors)."""
+    # a float32's bits as an int32, the sign bit flipping the others, order
+    # as the float does (-0 before 0); one stable argsort takes (row, bits)
+    bits = neg.view(np.int32).astype(np.int64)
+    order = np.argsort((rows << 32) + (bits ^ (bits >> 31 & 0x7FFFFFFF)), kind="stable")
+    first = np.cumsum(count) - count
+    at = first[:, None] + np.arange(k + 1)
+    sorted_neg = np.append(neg[order].astype(np.float64), np.inf)
+    wide = np.diff(sorted_neg[at], axis=1) > slack
+    wide[count == k, k - 1] = True  # no position k
+    return cols[order[at[:, :k]]], wide.all(axis=1)
 
 
 def _rank_survivors(unit: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -117,6 +172,19 @@ def _rank_all(unit: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(neg, axis=1, kind="stable")[:, :k]
 
 
+def _mean_cosine(x: np.ndarray, y: np.ndarray, step: int) -> float:
+    """Mean over rows of the float64 cos(x_i, y_i), 0 at a zero row, from
+    norms and dot sums of `step` rows at a time."""
+    cos = np.empty(len(x))
+    for lo in range(0, len(x), step):
+        a = x[lo:lo + step].astype(np.float64)
+        b = y[lo:lo + step].astype(np.float64)
+        denom = _nonzero(np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+        a *= b
+        cos[lo:lo + step] = np.sum(a, axis=1) / denom
+    return float(np.mean(cos))
+
+
 def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int) -> FidelityReport:
     """Compare a reconstruction r against the original e."""
     if e.values.shape != r.values.shape:
@@ -125,15 +193,10 @@ def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int) -> FidelityReport:
     if not 1 <= k < e.rows:
         raise DataError(f"k={k} out of range [1, {e.rows})")
 
-    a = e.values.astype(np.float64)
-    b = r.values.astype(np.float64)
-    rmse = float(np.sqrt(np.mean((a - b) ** 2)))
-
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    denom = na * nb
-    denom[denom == 0.0] = 1.0
-    mean_cosine = float(np.mean(np.sum(a * b, axis=1) / denom))
+    sq = np.subtract(e.values, r.values, dtype=np.float64)  # not in float32
+    rmse = float(np.sqrt(np.mean(np.square(sq, out=sq))))
+    del sq
+    mean_cosine = _mean_cosine(e.values, r.values, max(1, _BLOCK_BYTES // (8 * e.rows)))
 
     nn_a = _topk_neighbors(e.values, k)
     nn_b = _topk_neighbors(r.values, k)

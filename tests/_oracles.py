@@ -5,8 +5,9 @@ exhaustive assignment enumeration, nearest centroids by explicit
 differences, neighbors by a full cosine table, k-means++ seeding over the
 whole array at once (only the row hashes, the uniform stream and the mass
 block size are shared with the library), index bits through a count x bits
-shift table, word2vec text by one float() per value, and top-k neighbours
-by a float64 table of every block's scores and argpartition.
+shift table, word2vec text by one float() per value, top-k neighbours
+by a float64 table of every block's scores and argpartition, and the RMSE
+and mean cosine from whole float64 copies of both matrices.
 """
 
 from typing import BinaryIO
@@ -59,6 +60,17 @@ def brute_force_topk_cosine(values, k: int) -> list[list[int]]:
         sims.sort()
         out.append([j for _, j in sims[:k]])
     return out
+
+
+def float64_rmse_and_mean_cosine(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """RMSE and mean row cosine (0 at a zero row) of two float32 matrices,
+    from whole float64 copies of both."""
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    rmse = float(np.sqrt(np.mean((a - b) ** 2)))
+    denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    denom[denom == 0.0] = 1.0
+    return rmse, float(np.mean(np.sum(a * b, axis=1) / denom))
 
 
 def argpartition_topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from gpq import DataError, kmeans, kmeans_best_of
 from gpq.kmeans import (_CHUNK_ROWS, _assign_dense, _assign_sorted, _block_moments, _canonical,
                         _run_moments, _seed, _value_labels)
+from gpq.rng import SplitMix64
 
 from _oracles import (brute_force_kmeans_objective, brute_force_nearest,
                       brute_force_sorted_plus_plus, plain_lloyd)
@@ -416,6 +417,26 @@ def test_plus_plus_fewer_distinct_points_than_centers(chunk_rows):
         got = seed_of(pts, 7, seed)
         assert np.array_equal(got, brute_force_sorted_plus_plus(pts, 7, seed, chunk_rows))
         assert len(np.unique(got[:3], axis=0)) == 3
+
+
+def test_plus_plus_sums_d2_in_coordinate_order():
+    # at d = 8 numpy's row sum is pairwise, and A's squared distance from
+    # the origin sums to 1.3231770000000003 in coordinate order but to
+    # 1.323177 pairwise; B is placed so that the second pick of seed 4
+    # lands on that one-ulp difference
+    d, seed = 8, 4
+    a = [0.403, 0.029, 0.006, 0.125, 0.009, 0.67, 0.526, 0.647]
+    pts = np.array([np.zeros(d), a, np.eye(d)[1] * 3.3128219794066065])
+    cols = _canonical(pts, seed)
+    u0, u1 = SplitMix64(seed).uniforms(2).tolist()
+    diff = cols.T - cols[:, int(u0 * 3)]
+    coordinate = sum(diff[:, j] ** 2 for j in range(d))
+    pairwise = np.sum(np.ascontiguousarray(diff ** 2), axis=1)
+    picks = [int(np.argmax(np.cumsum(d2) > u1 * np.sum(d2))) for d2 in (coordinate, pairwise)]
+    assert picks[0] != picks[1]
+    got = seed_of(pts, 2, seed)
+    assert np.array_equal(got[1], cols[:, picks[0]])
+    assert np.array_equal(got, brute_force_sorted_plus_plus(pts, 2, seed, KMEANS._MASS_BLOCK))
 
 
 def test_plus_plus_memory_bound():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from gpq import (DataError, EmbeddingMatrix, PartitionKind, PartitionScheme, RweConfig,
                  fidelity, gpq_compress, metrics, pq_compress, reconstruct, rwe_generate)
 
-from _oracles import argpartition_topk_neighbors, brute_force_topk_cosine
+from _oracles import (argpartition_topk_neighbors, brute_force_topk_cosine,
+                      float64_rmse_and_mean_cosine)
 
 
 def emb(values):
@@ -124,17 +126,35 @@ def test_topk_tie_at_kth_goes_to_lower_index():
 
 
 def test_fidelity_memory_below_one_similarity_table():
+    # the larger of the RMSE's float64 V x d buffer, freed before top-k,
+    # and top-k's float32 unit copy with a block of scores and its mask;
+    # plus both calls' neighbour lists. The similarity table is 128 MB.
     rng = np.random.default_rng(7)
-    a = rng.normal(size=(4000, 128)).astype(np.float32)
+    v, d, k = 4000, 128, 10
+    a = rng.normal(size=(v, d)).astype(np.float32)
     e = emb(a)
     r = emb(a + rng.normal(scale=0.1, size=a.shape).astype(np.float32))
+    block32 = 4 * v * (metrics._BLOCK_BYTES // (8 * v))
     tracemalloc.start()
     try:
-        fidelity(e, r, k=10)
+        fidelity(e, r, k=k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4000 * 4000 * 8
+    assert peak < max(8 * v * d, 4 * v * d + 1.5 * block32) + 2 * 8 * v * k
+
+
+@pytest.mark.parametrize("shape", [(4000, 128), (2000, 64)], ids=["structured", "unified"])
+def test_fidelity_rmse_and_cosine_match_whole_float64_copies(shape):
+    # the benchmark shapes, rows on scales spread over decades, zero rows
+    # in one matrix, the other or both: the same bits as whole copies give
+    rng = np.random.default_rng(11)
+    a = rwe_generate(RweConfig(*shape, seed=3)).values * np.exp(rng.normal(size=(shape[0], 1)))
+    b = a + rng.normal(scale=0.05, size=shape)
+    a[:3], b[1:4] = 0.0, 0.0
+    a, b = a.astype(np.float32), b.astype(np.float32)
+    rep = fidelity(emb(a), emb(b), k=1)
+    assert (rep.rmse, rep.mean_cosine) == float64_rmse_and_mean_cosine(a, b)
 
 
 def _rwe_and_reconstruction(shape, seed):
@@ -149,16 +169,31 @@ def _rwe_and_reconstruction(shape, seed):
     return e.values, reconstruct(q).values
 
 
+@pytest.fixture
+def rescored(monkeypatch):
+    """The rows that reach _rank_survivors, the float64 re-score of a
+    row's few survivors."""
+    seen = set()
+    def spy(unit, rows, *args, rank=metrics._rank_survivors):
+        seen.update(rows.tolist())
+        return rank(unit, rows, *args)
+    monkeypatch.setattr(metrics, "_rank_survivors", spy)
+    return seen
+
+
 @pytest.mark.parametrize("block_rows", [None, 3, 1])
 @pytest.mark.parametrize("shape", [(1500, 128), (700, 64)], ids=["structured", "unified"])
-def test_topk_matches_argpartition_reference(monkeypatch, shape, block_rows):
+def test_topk_matches_argpartition_reference(monkeypatch, rescored, shape, block_rows):
     if block_rows is not None:
         monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * shape[0] * block_rows)
     for seed in (0, 1):
         for vals in _rwe_and_reconstruction(shape, seed):
             for k in (1, 10):
+                rescored.clear()
                 assert np.array_equal(metrics._topk_neighbors(vals, k),
                                       argpartition_topk_neighbors(vals, k))
+                # the float32 order settles most rows (here at most 2.5 % re-score)
+                assert len(rescored) < len(vals) / 10
 
 
 def _near_tie_case():
@@ -218,6 +253,41 @@ def test_topk_near_ties_duplicates_and_zero_rows(monkeypatch, block_rows):
     assert split_seen == {"_rank_all", "_rank_survivors"}
 
 
+def _gap_case(k, d=4):
+    """Rows 0 and k + 2 are the first and third axes. Each is followed by
+    k + 1 rows in its plane with the next axis, at float32 cosines 0.9,
+    0.8, ... to it, the last 21 (row 0) or 20 (row k + 2) steps of 2**-24
+    below the one before. Six zero rows follow."""
+    cos = np.float32(0.9 - 0.1 * np.arange(k))
+    def plane(axis, steps):
+        c = np.append(cos, cos[-1] - np.float32(steps * 2.0 ** -24)).astype(np.float64)
+        rows = np.zeros((k + 2, d))
+        rows[0, axis] = 1
+        rows[1:, axis], rows[1:, axis + 1] = c, np.sqrt(1 - c ** 2)
+        return rows
+    return np.concatenate([plane(0, 21), plane(2, 20), np.zeros((6, d))]).astype(np.float32)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3, 1])
+def test_topk_float32_order_kept_where_gaps_exceed_slack(monkeypatch, rescored, block_rows):
+    # the float32 scores of row 0 at positions k - 1 and k differ by just
+    # more than the slack, those of row k + 2 by just less: only the second
+    # needs float64
+    k, d = 3, 4
+    vals = _gap_case(k, d)
+    v = len(vals)
+    unit = vals[:2 * k + 4].astype(np.float64)
+    unit = (unit / np.linalg.norm(unit, axis=1)[:, None]).astype(np.float32)
+    slack = 2 * math.expm1((d + 6) * 2.0 ** -24)
+    gaps = [float(unit[i + k] @ unit[i]) - float(unit[i + k + 1] @ unit[i]) for i in (0, k + 2)]
+    assert gaps[1] < slack < gaps[0] and gaps[0] - gaps[1] == 2.0 ** -24
+    if block_rows is not None:
+        monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * v * block_rows)
+    assert np.array_equal(metrics._topk_neighbors(vals, k),
+                          np.array(brute_force_topk_cosine(vals, k)))
+    assert k + 2 in rescored and 0 not in rescored
+
+
 def test_topk_keeps_what_float32_misorders():
     # row 0's nearest are 40 rows at cosine 0.9 + 2.5e-8 m, closer than
     # float32 scores resolve; 660 rows pointing away from row 0 follow
@@ -274,8 +344,8 @@ def test_rescored_copies_tie_wherever_they_sit():
 
 
 def test_topk_memory_unit_copies_and_a_float32_block():
-    # the float64 and float32 unit copies, one block of float32 scores and
-    # its keep mask (a quarter block), with room for small arrays
+    # the float32 unit copy, one block of float32 scores and its keep mask
+    # (a quarter block), with room for small arrays: no float64 copy
     rng = np.random.default_rng(7)
     v, d = 4000, 128
     a = rng.normal(size=(v, d)).astype(np.float32)
@@ -286,4 +356,4 @@ def test_topk_memory_unit_copies_and_a_float32_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (8 + 4) * v * d + 1.5 * block32
+    assert peak < 4 * v * d + 1.5 * block32
