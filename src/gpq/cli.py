@@ -7,10 +7,8 @@ CRC error. Errors print a single machine-parsable line to stderr.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import codec, embio, metrics, quantizer, rwe
 from .errors import DataError, FormatError
@@ -45,14 +43,9 @@ def _save_embedding(e, path: str, fmt: str, vocab_path: str | None):
         except UnicodeDecodeError:
             raise DataError(f"vocabulary {vocab_path} is not UTF-8 text") from None
         e = embio.EmbeddingMatrix(e.values, tokens)
-    if fmt == "w2v":
-        text = io.BytesIO()  # the tokens are checked before the output is opened
-        embio.save_word2vec_text(e, text)
-        with open(path, "wb") as f:
-            f.write(text.getbuffer())
-    else:
-        with open(path, "wb") as f:
-            embio.save_raw(e, f)
+    save = embio.save_word2vec_text if fmt == "w2v" else embio.save_raw
+    with open(path, "wb") as f:
+        save(e, f)
 
 
 def _size_lines(report: quantizer.SizeReport) -> list[str]:
@@ -185,13 +178,8 @@ def cmd_sweep(args) -> int:
         except ValueError:
             raise DataError(f"bad --config {spec_str!r}, expected G:C") from None
     kind = PartitionKind(args.scheme)
-    run = lambda gc: _sweep_one(e, args.method, kind, gc[0], gc[1],
-                                args.seed, args.restarts, args.k)
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(run, configs))
-    else:
-        results = [run(gc) for gc in configs]
+    results = [_sweep_one(e, args.method, kind, g, c, args.seed, args.restarts, args.k)
+               for g, c in configs]
     json.dump(results, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -274,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("-k", type=int, default=5)
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     return parser

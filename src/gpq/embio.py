@@ -15,6 +15,7 @@ reported are those of a plain per-value parse.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
@@ -27,8 +28,10 @@ from .errors import DataError
 class EmbeddingMatrix:
     """Dense |V| x n embedding matrix with an optional vocabulary.
 
-    values is float32, shape (rows, cols). Immutable after construction;
-    safe for concurrent reads.
+    values is float32, shape (rows, cols). vocab, if given, holds one
+    distinct token per row, none of them empty or containing whitespace,
+    so any vocabulary can be written as word2vec text. Immutable after
+    construction, vocab included; safe for concurrent reads.
     """
 
     values: np.ndarray
@@ -43,11 +46,18 @@ class EmbeddingMatrix:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         if self.vocab is not None:
+            # a copy, so that a token the caller changes later is not written unchecked
+            object.__setattr__(self, "vocab", list(self.vocab))
             if len(self.vocab) != v.shape[0]:
                 raise DataError(
                     f"vocab length {len(self.vocab)} != row count {v.shape[0]}")
-            if len(set(self.vocab)) != len(self.vocab):
+            tokens = set(self.vocab)
+            if len(tokens) != len(self.vocab):
                 raise DataError("vocab contains duplicate tokens")
+            # one C-speed scan; \s matches exactly what str.isspace does
+            if "" in tokens or re.search(r"\s", "".join(self.vocab)):
+                token = next(t for t in self.vocab if not t or re.search(r"\s", t))
+                raise DataError(f"token {token!r} is empty or contains whitespace")
 
     @property
     def rows(self) -> int:
@@ -190,9 +200,6 @@ def save_word2vec_text(e: EmbeddingMatrix, dest: BinaryIO) -> None:
     """Write the word2vec text format; requires a vocabulary."""
     if e.vocab is None:
         raise DataError("word2vec text format requires a vocabulary")
-    for token in e.vocab:
-        if not token or any(ch.isspace() for ch in token):
-            raise DataError(f"token {token!r} is empty or contains whitespace")
     dest.write(f"{e.rows} {e.cols}\n".encode("utf-8"))
     for token, row in zip(e.vocab, e.values):
         vals = " ".join(_format_f32(x) for x in row)

@@ -176,15 +176,6 @@ def test_sweep_ordered_output(tmp_path, capsys, w2v_file):
         assert set(r) >= {"rmse", "mean_cosine", "nn_overlap_at_k", "size"}
 
 
-def test_sweep_parallel_matches_sequential(tmp_path, capsys, w2v_file):
-    src, _ = w2v_file
-    args = ["sweep", "--input", str(src), "--config", "4:2", "--config", "2:2",
-            "--restarts", "2"]
-    _, seq, _ = run(capsys, *args)
-    _, par, _ = run(capsys, *args, "--parallel")
-    assert json.loads(seq) == json.loads(par)
-
-
 def test_exit_code_data_error(tmp_path, capsys, w2v_file):
     src, _ = w2v_file
     code, _, err = run(capsys, "compress", "--input", str(src),
@@ -220,13 +211,30 @@ def test_exit_code_data_error_rows_beyond_header(tmp_path, capsys):
     assert err == "error: data: row count mismatch: expected 1 rows, got more\n"
 
 
+def python_process(*argv, **env) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's gpq."""
+    pythonpath = [str(Path(gpq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
 def cli_process(*argv, **env) -> subprocess.CompletedProcess:
     """Run the CLI in a child process, so that anything written to stderr,
     warnings included, reaches the captured stderr."""
-    pythonpath = [str(Path(gpq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    return subprocess.run([sys.executable, "-m", "gpq.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=600)
+    return python_process("-m", "gpq.cli", *argv, **env)
+
+
+def test_cli_imports_only_stdlib_and_numpy():
+    # numpy is the only runtime dependency; the modules site loaded before
+    # the import (certifi, _distutils_hack, ...) are not the CLI's
+    proc = python_process("-c", "import sys; before = set(sys.modules); import gpq.cli; "
+                          "print(*{m.split('.')[0] for m in set(sys.modules) - before})")
+    assert proc.returncode == 0, proc.stderr
+    new = set(proc.stdout.split())
+    assert "gpq" in new
+    assert new - sys.stdlib_module_names <= {"numpy", "gpq"}
+    assert not new & {"concurrent", "logging"}
 
 
 def test_exit_code_data_error_value_beyond_binary32(tmp_path):

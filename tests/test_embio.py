@@ -209,13 +209,6 @@ class TestWord2vecSave:
         with pytest.raises(DataError, match="vocab"):
             save_word2vec_text(e, io.BytesIO())
 
-    def test_rejects_whitespace_token(self):
-        # an empty token is rejected too: its line would start with a value
-        for token in ["a b", ""]:
-            e = EmbeddingMatrix(np.zeros((1, 1), dtype=np.float32), [token])
-            with pytest.raises(DataError, match="whitespace"):
-                save_word2vec_text(e, io.BytesIO())
-
     def test_round_trip_tenth(self):
         e = EmbeddingMatrix(np.array([[0.1]], dtype=np.float32), ["x"])
         buf = io.BytesIO()
@@ -244,6 +237,19 @@ class TestEmbeddingMatrix:
     def test_duplicate_vocab(self):
         with pytest.raises(DataError):
             EmbeddingMatrix(np.zeros((2, 2), dtype=np.float32), ["a", "a"])
+
+    def test_rejects_whitespace_token(self):
+        # an empty token is rejected too: its word2vec line would start with a value
+        for token in ["a b", ""]:
+            with pytest.raises(DataError, match="whitespace"):
+                EmbeddingMatrix(np.zeros((1, 1), dtype=np.float32), [token])
+
+    def test_vocab_is_copied(self):
+        # the tokens are checked once, here: the caller's list may change later
+        vocab = ["a", "b"]
+        e = EmbeddingMatrix(np.zeros((2, 1), dtype=np.float32), vocab)
+        vocab[1] = "b c"
+        assert e.vocab == ["a", "b"]
 
     def test_rejects_nan(self):
         with pytest.raises(DataError):

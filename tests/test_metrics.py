@@ -357,3 +357,21 @@ def test_topk_memory_unit_copies_and_a_float32_block():
     finally:
         tracemalloc.stop()
     assert peak < 4 * v * d + 1.5 * block32
+
+
+def test_topk_memory_small_blocks_without_float64_unit_matrix(monkeypatch):
+    # 64-row blocks shrink the screen's block below the float64 unit matrix
+    # (8·v·d, 4 MB), so building that matrix when no row needs _rank_all
+    # would show: the float32 unit copy, a block and its mask, the output
+    rng = np.random.default_rng(7)
+    v, d, k = 4000, 128, 10
+    a = rng.normal(size=(v, d)).astype(np.float32)
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * v * 64)
+    block32 = 4 * v * 64
+    tracemalloc.start()
+    try:
+        metrics._topk_neighbors(a, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * v * d + 1.5 * block32 + 8 * v * k
