@@ -279,91 +279,16 @@ def _repair_empty(pts, assign, centroids, counts):
         assign[donor] = k
 
 
-class _Labels:
-    """Lloyd state as one label per point in input order; the d > 1 kernel.
-    After update, centroids holds the means, sq_resid each point's squared
-    residual per dimension and objective their sum."""
-
-    def __init__(self, pts: np.ndarray):
-        self.pts = pts
-
-    def nearest(self, centroids: np.ndarray) -> np.ndarray:
-        """Assign every point to its nearest centroid; returns the counts.
-        When one is zero, labels holds the labels in input order."""
-        self.labels = _assign_dense(self.pts, centroids)
-        return np.bincount(self.labels, minlength=centroids.shape[0])
-
-    def update(self, counts: np.ndarray) -> tuple[np.ndarray, float]:
-        """(centroids, objective) of the current labels."""
-        self.centroids = _cluster_means(self.labels, self.pts, counts)
-        self.sq_resid = self.pts - self.centroids[self.labels]
-        self.sq_resid *= self.sq_resid
-        self.objective = float(np.sum(self.sq_resid))
-        return self.centroids, self.objective
-
-    def finish(self, counts: np.ndarray, iterations: int) -> ClusterResult:
-        """The result of the last update."""
-        variances = _cluster_means(self.labels, self.sq_resid, counts)
-        return ClusterResult(self.centroids, variances, self.labels, self.objective, iterations)
-
-
-class _Runs(_Labels):
-    """Lloyd state of the d == 1 kernel. The points are sorted once, so
-    every cluster is a run of them: nearest() keeps (labels, edges) from
-    _assign_sorted, and update() takes each run's mean and SSE from
-    _run_moments. Input-order labels are looked up by value only when a
-    cluster is empty, where the update runs as for d > 1, and in finish(),
-    for the result's assignments."""
-
-    def __init__(self, pts: np.ndarray, xs: np.ndarray, c: int):
-        super().__init__(pts)
-        self.xs = xs  # pts[:, 0] in ascending order
-        # balances an update's m / block whole blocks against its < 2 c block
-        # end values
-        self.block = math.isqrt(pts.shape[0] // c)
-        self.moments = _block_moments(self.xs, self.block)
-
-    def input_labels(self) -> np.ndarray:
-        return _value_labels(self.pts[:, 0], self.xs, self.run_labels, self.edges)
-
-    def nearest(self, centroids: np.ndarray) -> np.ndarray:
-        self.run_labels, self.edges = _assign_sorted(self.xs, centroids)
-        counts = np.zeros(centroids.shape[0], dtype=np.intp)
-        counts[self.run_labels] = np.diff(self.edges)
-        # to be repaired, and then updated, in input order
-        self.labels = None if counts.all() else self.input_labels()
-        return counts
-
-    def update(self, counts: np.ndarray) -> tuple[np.ndarray, float]:
-        if self.labels is not None:
-            return super().update(counts)
-        # no cluster is empty, so every label has one run of at least a point
-        means, sse = _run_moments(self.xs, self.block, self.moments, self.edges)
-        self.centroids = np.empty((counts.size, 1))
-        self.centroids[self.run_labels, 0] = means
-        self.variances = np.empty((counts.size, 1))
-        self.variances[self.run_labels, 0] = sse / np.diff(self.edges)
-        return self.centroids, float(np.sum(sse))
-
-    def finish(self, counts: np.ndarray, iterations: int) -> ClusterResult:
-        if self.labels is not None:
-            return super().finish(counts, iterations)
-        labels = self.input_labels()
-        self.xs = None  # freed before the residual pass
-        # the objective sums in input order, as the d > 1 update and plain
-        # Lloyd sum it
-        resid = np.take(self.centroids[:, 0], labels)
-        np.subtract(self.pts[:, 0], resid, out=resid)
-        resid *= resid
-        return ClusterResult(self.centroids, self.variances, labels, float(np.sum(resid)),
-                             iterations)
-
-
 def kmeans(points, c: int, seed: int) -> ClusterResult:
     """Lloyd iterations from k-means++ seeding, a pure function of (points,
     c, seed). Stops after DEFAULT_MAX_ITER iterations or once the objective
     improves by DEFAULT_REL_TOL of itself or less, as it does when no
-    assignment changes; repairs empty clusters only when there are some."""
+    assignment changes; repairs empty clusters only when there are some.
+
+    An iteration holds runs of the sorted points (d == 1, no cluster empty;
+    labels is None), updated by _run_moments, or labels in input order
+    (d > 1, or an empty cluster at d == 1), repaired and updated with
+    sq_resid, each point's squared residual per dimension."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DataError(f"points must be 2-D, got shape {pts.shape}")
@@ -376,21 +301,55 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
         raise DataError("points contain non-finite values")
 
     cols = _canonical(pts, seed)
-    state = _Runs(pts, cols[0], c) if d == 1 else _Labels(pts)
     centroids = _seed(cols, c, seed)
+    if d == 1:
+        xs = cols[0]  # pts[:, 0] in ascending order
+        # balances an update's m / block whole blocks against its < 2 c
+        # block end values
+        block = math.isqrt(m // c)
+        moments = _block_moments(xs, block)
     del cols  # when d > 1, an m x d copy that Lloyd does not read
     prev_obj = np.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        counts = state.nearest(centroids)
-        if not counts.all():
-            _repair_empty(pts, state.labels, centroids, counts)
-        centroids, obj = state.update(counts)
+        if d == 1:
+            run_labels, edges = _assign_sorted(xs, centroids)
+            counts = np.zeros(c, dtype=np.intp)
+            counts[run_labels] = np.diff(edges)
+            labels = None if counts.all() else _value_labels(pts[:, 0], xs, run_labels, edges)
+        else:
+            labels = _assign_dense(pts, centroids)
+            counts = np.bincount(labels, minlength=c)
+        if labels is None:
+            # every label has one run of at least a point
+            means, sse = _run_moments(xs, block, moments, edges)
+            centroids = np.empty((c, 1))
+            centroids[run_labels, 0] = means
+            obj = float(np.sum(sse))
+        else:
+            if not counts.all():
+                _repair_empty(pts, labels, centroids, counts)
+            centroids = _cluster_means(labels, pts, counts)
+            sq_resid = pts - centroids[labels]
+            sq_resid *= sq_resid
+            obj = float(np.sum(sq_resid))
         assert obj <= prev_obj * (1.0 + 1e-12) + 1e-300
         if np.isfinite(prev_obj) and prev_obj - obj <= DEFAULT_REL_TOL * prev_obj:
             break
         prev_obj = obj
 
-    return state.finish(counts, it)
+    if labels is not None:
+        variances = _cluster_means(labels, sq_resid, counts)
+        return ClusterResult(centroids, variances, labels, obj, it)
+    variances = np.empty((c, 1))
+    variances[run_labels, 0] = sse / np.diff(edges)
+    labels = _value_labels(pts[:, 0], xs, run_labels, edges)
+    del xs  # the sorted copy, freed before the residual pass
+    # the objective sums in input order, as the d > 1 update and plain Lloyd
+    # sum it
+    resid = np.take(centroids[:, 0], labels)
+    np.subtract(pts[:, 0], resid, out=resid)
+    resid *= resid
+    return ClusterResult(centroids, variances, labels, float(np.sum(resid)), it)
 
 
 def kmeans_best_of(points, c: int, seed: int, restarts: int = 1) -> ClusterResult:

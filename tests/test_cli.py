@@ -176,6 +176,13 @@ def test_sweep_ordered_output(tmp_path, capsys, w2v_file):
         assert set(r) >= {"rmse", "mean_cosine", "nn_overlap_at_k", "size"}
 
 
+def test_sweep_bad_config_is_data_error(capsys, w2v_file):
+    src, _ = w2v_file
+    code, _, err = run(capsys, "sweep", "--input", str(src), "--config", "8-16")
+    assert code == 3
+    assert err == "error: data: bad --config '8-16', expected G:C\n"
+
+
 def test_exit_code_data_error(tmp_path, capsys, w2v_file):
     src, _ = w2v_file
     code, _, err = run(capsys, "compress", "--input", str(src),

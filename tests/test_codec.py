@@ -219,6 +219,29 @@ class TestContainer:
                                np.zeros((rows, 2), dtype=np.uint32),
                                np.zeros((2, c, 1), dtype=np.float32), None, 0)
 
+    @pytest.mark.parametrize("index_shape, means_shape, variances, match", [
+        ((2,), (2, 3, 1), None, "index matrix shape"),
+        ((2, 1), (2, 3, 1), None, "index matrix shape"),
+        ((2, 2), (2, 3), None, "codebook shape"),
+        ((2, 2), (1, 3, 1), None, "codebook shape"),
+        ((2, 2), (2, 3, 1), np.zeros((2, 3, 2)), "variance table shape"),
+        ((2, 2), (2, 3, 1), np.full((2, 3, 1), -1e-30), "negative variance"),
+    ], ids=["index-1d", "index-columns", "codebook-2d", "codebook-blocks", "variance-shape",
+            "negative-variance"])
+    def test_inconsistent_arrays_rejected(self, index_shape, means_shape, variances, match):
+        with pytest.raises(DataError, match=match):
+            QuantizedEmbedding(PartitionScheme(PartitionKind.STRUCTURED, 2),
+                               np.zeros(index_shape, dtype=np.uint32),
+                               np.zeros(means_shape, dtype=np.float32),
+                               None if variances is None else variances.astype(np.float32), 0)
+
+    def test_equality_needs_same_type_and_method(self):
+        gpq = random_quantized(np.random.default_rng(5), with_vars=True)
+        pq = dataclasses.replace(gpq, codebook_vars=None)
+        assert gpq == dataclasses.replace(gpq) and pq == dataclasses.replace(pq)
+        assert gpq != pq and pq != gpq
+        assert gpq.__eq__(gpq.index_matrix) is NotImplemented and gpq != "GPQE"
+
     @pytest.mark.parametrize("unknown", [0x04, 0x80])
     def test_unknown_flag_bits_rejected(self, unknown):
         # unified, g=1, c=2 (1-bit indices), with a valid CRC

@@ -176,6 +176,11 @@ class TestRaw:
         with pytest.raises(DataError, match="length mismatch"):
             load_raw(io.BytesIO(b"\x00" * 7), 1, 2)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 8), (1, 0)])
+    def test_invalid_shape(self, rows, cols):
+        with pytest.raises(DataError, match=f"invalid shape {rows}x{cols}"):
+            load_raw(io.BytesIO(b""), rows, cols)
+
     def test_round_trip(self):
         rng = np.random.default_rng(7)
         e = EmbeddingMatrix(rng.normal(size=(5, 4)).astype(np.float32))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import gpq.rwe
 from gpq import DataError, RweConfig, projection_init, rwe_generate, rwe_param_counts
+from gpq.rng import SplitMix64
 
 
 def test_rows_are_unit_norm():
@@ -53,6 +55,36 @@ def test_param_counts():
     counts = rwe_param_counts(RweConfig(32000, 512, seed=0, projection_dim=512))
     assert counts["float_params"] == 2 + 512 * 512
     assert counts["int_params"] == 0
+
+
+@pytest.mark.parametrize("n, m", [(0, 4), (4, 0)])
+def test_projection_validation(n, m):
+    with pytest.raises(DataError, match="projection dimensions"):
+        projection_init(n, m, seed=0)
+
+
+def test_zero_row_resampled(monkeypatch):
+    # a zero row is redrawn from the same stream: the first draw's row 1 is
+    # zeroed, so the result is the first draw with row 1 replaced by the
+    # next draw, normalised
+    rows, cols, seed = 3, 4, 5
+    draws = []
+
+    class FirstDrawRowOneZero(SplitMix64):
+        def normals(self, n):
+            out = super().normals(n)
+            if not draws:
+                out[cols:2 * cols] = 0.0
+            draws.append(n)
+            return out
+
+    monkeypatch.setattr(gpq.rwe, "SplitMix64", FirstDrawRowOneZero)
+    got = rwe_generate(RweConfig(rows, cols, seed)).values
+    assert draws == [rows * cols, cols]
+    rng = SplitMix64(seed)
+    s = rng.normals(rows * cols).reshape(rows, cols)
+    s[1] = rng.normals(cols)
+    assert np.array_equal(got, (s / np.linalg.norm(s, axis=1)[:, None]).astype(np.float32))
 
 
 @pytest.mark.parametrize("rows,cols,pdim", [(0, 4, None), (4, 0, None), (4, 4, 0)])
