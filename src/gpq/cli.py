@@ -60,13 +60,8 @@ def _size_lines(report: quantizer.SizeReport) -> list[str]:
     ]
 
 
-def _print_report(report_dict: dict, lines: list[str], fmt: str, out=None):
-    out = out if out is not None else sys.stdout
-    if fmt == "json":
-        json.dump(report_dict, out, indent=2)
-        out.write("\n")
-    else:
-        out.write("\n".join(lines) + "\n")
+def _print_report(report_dict: dict, lines: list[str], fmt: str):
+    print(json.dumps(report_dict, indent=2) if fmt == "json" else "\n".join(lines))
 
 
 def _seed(text: str) -> int:

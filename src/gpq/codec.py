@@ -32,6 +32,8 @@ _FLAG_UNIFIED = 0x02
 
 def pack_indices(values: np.ndarray, bits: int) -> bytes:
     """Pack a flat integer array at `bits` bits per entry, MSB-first."""
+    if bits == 0:
+        return b""  # before ravel() copies a broadcast index
     vals = np.asarray(values, dtype=np.uint32).ravel()
     planes = np.empty((vals.size, bits), dtype=np.uint8)
     for j in range(bits):
@@ -40,8 +42,12 @@ def pack_indices(values: np.ndarray, bits: int) -> bytes:
 
 
 def unpack_indices(data: bytes, count: int, bits: int) -> np.ndarray:
+    """`count` entries of `bits` bits each, MSB-first. At 0 bits every entry
+    is 0, and the result is a read-only view of one zero."""
     if len(data) * 8 < count * bits:
         raise FormatError("truncated index section")
+    if bits == 0:
+        return np.broadcast_to(np.uint32(0), (count,))
     planes = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
                            count=count * bits).reshape(count, bits)
     out = np.zeros(count, dtype=np.uint32)

@@ -219,4 +219,4 @@ def load_raw(source: BinaryIO, rows: int, cols: int) -> EmbeddingMatrix:
 
 
 def save_raw(e: EmbeddingMatrix, dest: BinaryIO) -> None:
-    dest.write(np.ascontiguousarray(e.values, dtype="<f4").tobytes())
+    dest.write(memoryview(np.ascontiguousarray(e.values, dtype="<f4")).cast("B"))

@@ -36,11 +36,12 @@ of two kernels, chosen from the point dimension d alone:
 Both kernels resolve ties to the lowest centroid index, and neither the
 kernel nor the block sizes are settings: they follow from the shape of the
 points and c, so results stay a pure function of the three inputs above.
-The d == 1 means and variances are those of the last iteration's runs, in
-sorted order. When no iteration had an empty cluster, they depend on the
-multiset of values alone, so a row permutation leaves them bit-identical
-and permutes the assignments. The objective returned sums the squared
-residuals in input order, as the d > 1 update does.
+The d == 1 means, variances and objective are those of the last
+iteration's runs, in sorted order (the objective sums the runs' SSE). When
+no iteration had an empty cluster, they depend on the multiset of values
+alone, so a row permutation leaves them bit-identical and permutes the
+assignments. A last iteration that held labels returns the squared
+residuals summed in input order as its objective.
 
 k-means++ seeding (D² sampling, Arthur & Vassilvitskii 2007) is one rule
 for every d. The points are taken in a canonical order: ascending values
@@ -337,19 +338,13 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
             break
         prev_obj = obj
 
-    if labels is not None:
+    if labels is None:
+        variances = np.empty((c, 1))
+        variances[run_labels, 0] = sse / np.diff(edges)
+        labels = _value_labels(pts[:, 0], xs, run_labels, edges)
+    else:
         variances = _cluster_means(labels, sq_resid, counts)
-        return ClusterResult(centroids, variances, labels, obj, it)
-    variances = np.empty((c, 1))
-    variances[run_labels, 0] = sse / np.diff(edges)
-    labels = _value_labels(pts[:, 0], xs, run_labels, edges)
-    del xs  # the sorted copy, freed before the residual pass
-    # the objective sums in input order, as the d > 1 update and plain Lloyd
-    # sum it
-    resid = np.take(centroids[:, 0], labels)
-    np.subtract(pts[:, 0], resid, out=resid)
-    resid *= resid
-    return ClusterResult(centroids, variances, labels, float(np.sum(resid)), it)
+    return ClusterResult(centroids, variances, labels, obj, it)
 
 
 def kmeans_best_of(points, c: int, seed: int, restarts: int = 1) -> ClusterResult:

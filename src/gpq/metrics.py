@@ -4,7 +4,7 @@ nearest-neighbor overlap under cosine similarity."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,12 +22,7 @@ class FidelityReport:
     k: int
 
     def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "mean_cosine": self.mean_cosine,
-            "nn_overlap_at_k": self.nn_overlap_at_k,
-            "k": self.k,
-        }
+        return asdict(self)
 
 
 def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:

@@ -87,7 +87,11 @@ class QuantizedEmbedding:
             raise DataError(
                 f"codebook shape {self.codebook_means.shape} != ({blocks}, clusters, cols/{g})")
         size_report(self)  # checks the header numbers
-        if self.index_matrix.max() >= self.clusters:
+        # a broadcast axis (stride 0, as in a decoded c = 1 index) repeats
+        # one entry, so one entry along it is checked
+        index = self.index_matrix[tuple(slice(None) if s else slice(1)
+                                        for s in self.index_matrix.strides)]
+        if index.max() >= self.clusters:
             raise DataError("index matrix entry out of range")
         if not np.all(np.isfinite(self.codebook_means)):
             raise DataError("non-finite mean in codebook")

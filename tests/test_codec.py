@@ -13,6 +13,7 @@ from _oracles import pack_indices as reference_pack, unpack_indices as reference
 from gpq import (DataError, EmbeddingMatrix, FormatError, PartitionKind, PartitionScheme,
                  QuantizedEmbedding, ReconstructMode, RweConfig, gpq_compress, pq_compress,
                  reconstruct, rwe_generate)
+from gpq.cli import main
 from gpq.codec import HEADER_SIZE, decode, encode, pack_indices, payload_length, unpack_indices
 from gpq.quantizer import index_bit_width, size_report
 
@@ -119,6 +120,31 @@ class TestContainer:
         assert len(data) == HEADER_SIZE + book_bytes + 4
         assert decode(data) == q
 
+    def test_single_cluster_index_not_materialized(self, tmp_path, capsys):
+        # 43 bytes that describe 150525201 x 14 index entries, 7.85 GiB as
+        # uint32: c = 1 stores no index bits, and decode builds no index
+        q = QuantizedEmbedding(PartitionScheme(PartitionKind.UNIFIED, 14),
+                               np.zeros((1, 14), dtype=np.uint32),
+                               np.ones((1, 1, 1), dtype=np.float32), None, 0)
+        data = bytearray(encode(q))
+        struct.pack_into("<Q", data, 6, 150_525_201)
+        struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+        data = bytes(data)
+        assert len(data) == 43
+        tracemalloc.start()
+        try:
+            q = decode(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert (q.rows, q.cols, q.clusters) == (150_525_201, 14, 1)
+        assert encode(q) == data
+        path = tmp_path / "c1.gpqe"
+        path.write_bytes(data)
+        assert main(["info", "--input", str(path)]) == 0
+        assert "150525201" in capsys.readouterr().out
+
     def test_payload_equals_storable_bits(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
@@ -170,6 +196,9 @@ class TestContainer:
         data = body + struct.pack("<I", zlib.crc32(body))
         with pytest.raises(FormatError, match="out of range"):
             decode(data)
+        # a broadcast index (strides 0) is checked by one of its entries
+        with pytest.raises(DataError, match="out of range"):
+            QuantizedEmbedding(scheme, np.broadcast_to(np.uint32(3), (2, 1)), means, None, 0)
 
     @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0)])
     def test_empty_matrix_rejected(self, rows, cols):
@@ -306,14 +335,15 @@ def test_decodes_only_what_encodes_back(seed, field, value):
     # one header field rewritten under a valid CRC: whatever still decodes
     # is a QuantizedEmbedding that encodes back to the same bytes. A c = 1
     # container stores no index bits, so its length does not bound the rows
-    # field, and the index matrix it describes may not fit in memory.
+    # field; decode builds no index for it, so any addressable row count
+    # decodes.
     data = bytearray(encode(random_quantized(np.random.default_rng(seed))))
     offset, code = field
     struct.pack_into("<" + code, data, offset, value % 2 ** (8 * struct.calcsize(code)))
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
     try:
         q = decode(bytes(data))
-    except (FormatError, MemoryError):
+    except FormatError:
         return
     assert encode(q) == data
 

@@ -145,6 +145,9 @@ def test_matches_plain_lloyd(d):
     # repair empty clusters, moving 60 points in all. float32 values, as the
     # quantizer passes them: the mean of equal float32 values is exact in
     # float64, where that of equal float64 values may round (see below).
+    # At d = 1 the objective sums the runs' SSE, not the residuals in input
+    # order as plain_lloyd does, so it may differ by m ulps of itself, the
+    # bound of the at-scale test below.
     repairs = 0
     for trial in range(10):
         rng = np.random.default_rng([d, trial])
@@ -156,7 +159,12 @@ def test_matches_plain_lloyd(d):
             labels, centroids, objective, iterations, moved = plain_lloyd(pts, c, trial)
             assert np.array_equal(res.assignments, labels)
             assert np.array_equal(res.centroids, centroids)
-            assert (res.objective, res.iterations) == (objective, iterations)
+            assert res.iterations == iterations
+            if d == 1:
+                m = len(pts)
+                assert abs(res.objective - objective) <= m * np.finfo(np.float64).eps * objective
+            else:
+                assert res.objective == objective
             repairs += moved
     assert repairs > 0
 
@@ -207,13 +215,11 @@ def test_sorted_kmeans_memory_bound():
 
 @pytest.mark.parametrize("case", ["blocks", "repair"])
 def test_sorted_kmeans_ignores_row_order(monkeypatch, case):
-    # d = 1 means and variances are those of runs of the sorted values, so a
-    # row permutation leaves them bit-identical and permutes the assignments.
-    # "blocks": m >> B, no empty cluster. "repair": one iteration repairs an
-    # empty cluster, whose update sums in input order; its means only feed
-    # the next assignment. The objective sums squared residuals in input
-    # order, so it may differ by summation order: at most m ulps of itself, a
-    # bound fixed before the test was first run.
+    # d = 1 means, variances and objective are those of runs of the sorted
+    # values, so a row permutation leaves them bit-identical and permutes the
+    # assignments. "blocks": m >> B, no empty cluster. "repair": one
+    # iteration repairs an empty cluster, whose update sums in input order;
+    # its means only feed the next assignment.
     repairs = []
     repair = KMEANS._repair_empty
     monkeypatch.setattr(KMEANS, "_repair_empty", lambda *a: repairs.append(1) or repair(*a))
@@ -234,9 +240,22 @@ def test_sorted_kmeans_ignores_row_order(monkeypatch, case):
         assert np.array_equal(a.centroids, b.centroids)
         assert np.array_equal(a.variances, b.variances)
         assert np.array_equal(a.assignments[perm], b.assignments)
-        assert a.iterations == b.iterations
-        assert abs(a.objective - b.objective) <= m * np.finfo(np.float64).eps * a.objective
+        assert (a.objective, a.iterations) == (b.objective, b.iterations)
     assert (len(repairs) > 0) == (case == "repair")
+
+
+def test_sorted_best_restart_ignores_row_order():
+    # the "blocks" case above with 4 restarts: each restart's objective is
+    # its runs' summed SSE, so the same restart wins whatever the row order;
+    # summed in input order, the objectives differ here under the permutation
+    rng = np.random.default_rng(21)
+    m, c = 20000, 20
+    pts = rng.normal(size=(m, 1))
+    perm = np.random.default_rng(0).permutation(m)
+    a, b = kmeans_best_of(pts, c, 0, restarts=4), kmeans_best_of(pts[perm], c, 0, restarts=4)
+    assert a.objective == b.objective
+    assert np.array_equal(a.centroids, b.centroids)
+    assert np.array_equal(a.assignments[perm], b.assignments)
 
 
 def two_pass_moments(xs, edges):
