@@ -60,8 +60,11 @@ def _size_lines(report: quantizer.SizeReport) -> list[str]:
     ]
 
 
-def _print_report(report_dict: dict, lines: list[str], fmt: str):
-    print(json.dumps(report_dict, indent=2) if fmt == "json" else "\n".join(lines))
+def _print_report(report: dict, fmt: str, lines: list[str] | None = None):
+    """report as JSON, or as text lines, by default one per entry."""
+    if lines is None:
+        lines = [f"{k:<21}{v}" for k, v in report.items()]
+    print(json.dumps(report, indent=2) if fmt == "json" else "\n".join(lines))
 
 
 def _seed(text: str) -> int:
@@ -87,11 +90,10 @@ def cmd_compress(args) -> int:
     report = quantizer.size_report(q)
     extra = {"container_bytes": len(data),
              "header_and_crc_bytes": len(data) - codec.payload_length(data)}
-    _print_report({**report.to_dict(), **extra},
+    _print_report({**report.to_dict(), **extra}, args.report,
                   _size_lines(report) + [
                       f"container_size       {len(data)} B ({_mib(len(data))})",
-                      f"header_and_crc       {extra['header_and_crc_bytes']} B"],
-                  args.report)
+                      f"header_and_crc       {extra['header_and_crc_bytes']} B"])
     return EXIT_OK
 
 
@@ -120,11 +122,13 @@ def cmd_info(args) -> int:
         "total_clusters": q.total_clusters,
     }
     lines = [f"{k:<21}{v}" for k, v in header.items()] + _size_lines(report)
-    _print_report({**header, "size": report.to_dict()}, lines, args.report)
+    _print_report({**header, "size": report.to_dict()}, args.report, lines)
     return EXIT_OK
 
 
 def cmd_rwe(args) -> int:
+    if args.projection_output is not None and args.projection_dim is None:
+        args.usage_error("argument --projection-output: requires --projection-dim")
     cfg = rwe.RweConfig(args.rows, args.cols, args.seed, args.projection_dim)
     e = rwe.rwe_generate(cfg)
     if args.projection_dim is not None:  # computed before any output is opened
@@ -135,10 +139,7 @@ def cmd_rwe(args) -> int:
     if args.projection_dim is not None:
         with open(args.projection_output or args.output + ".proj", "wb") as f:
             f.write(proj)
-    counts = rwe.rwe_param_counts(cfg)
-    _print_report(counts,
-                  [f"{k:<21}{v}" for k, v in counts.items()],
-                  args.report)
+    _print_report(rwe.rwe_param_counts(cfg), args.report)
     return EXIT_OK
 
 
@@ -146,13 +147,7 @@ def cmd_compare(args) -> int:
     a = _load_embedding(args.original, args.format, args.rows, args.cols)
     b = _load_embedding(args.reconstructed, args.recon_format or args.format,
                         args.rows, args.cols)
-    rep = metrics.fidelity(a, b, args.k)
-    _print_report(rep.to_dict(),
-                  [f"rmse                 {rep.rmse!r}",
-                   f"mean_cosine          {rep.mean_cosine!r}",
-                   f"nn_overlap_at_k      {rep.nn_overlap_at_k!r}",
-                   f"k                    {rep.k}"],
-                  args.report)
+    _print_report(metrics.fidelity(a, b, args.k).to_dict(), args.report)
     return EXIT_OK
 
 
@@ -234,16 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projection-output")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--report", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_rwe)
+    p.set_defaults(func=cmd_rwe, usage_error=p.error)
 
     p = sub.add_parser("compare", help="fidelity metrics between two embedding files")
-    p.add_argument("--original", required=True)
+    _add_embedding_input(p, "--original")
     p.add_argument("--reconstructed", required=True)
-    p.add_argument("--format", choices=["w2v", "raw"], default="w2v")
     p.add_argument("--recon-format", choices=["w2v", "raw"],
                    help="format of the reconstructed file if it differs")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--report", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_compare)

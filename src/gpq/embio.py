@@ -16,7 +16,7 @@ reported are those of a plain per-value parse.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
@@ -73,9 +73,7 @@ class EmbeddingMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingMatrix):
             return NotImplemented
-        return (self.values.shape == other.values.shape
-                and np.array_equal(self.values, other.values)
-                and self.vocab == other.vocab)
+        return np.array_equal(self.values, other.values) and self.vocab == other.vocab
 
 
 # rows are parsed about this many values at a time, whatever the file's

@@ -184,11 +184,8 @@ def _assign_sorted(xs: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, n
     """Nearest centroids of sorted 1-D points xs as runs (labels, edges):
     cluster labels[i] holds xs[edges[i]:edges[i + 1]]. labels lists each
     distinct centroid once, in ascending order of value."""
-    rank = np.argsort(centroids[:, 0], kind="stable")
-    cs = centroids[rank, 0]
-    # of equal centroids, the first in stable order has the lowest index
-    first = np.concatenate(([True], cs[1:] != cs[:-1]))
-    cs, labels = cs[first], rank[first]
+    # of equal centroids (-0.0 and 0.0 too), the lowest index
+    cs, labels = np.unique(centroids[:, 0], return_index=True)
     mid = 0.5 * (cs[:-1] + cs[1:])
     # a point on a midpoint goes to the lower-indexed neighbour
     bounds = np.where(labels[:-1] < labels[1:],
@@ -352,9 +349,5 @@ def kmeans_best_of(points, c: int, seed: int, restarts: int = 1) -> ClusterResul
     ties go to the lowest restart index."""
     if restarts < 1:
         raise DataError("restarts must be >= 1")
-    best = None
-    for r in range(restarts):
-        res = kmeans(points, c, seed + r)
-        if best is None or res.objective < best.objective:
-            best = res
-    return best
+    return min((kmeans(points, c, seed + r) for r in range(restarts)),
+               key=lambda res: res.objective)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -145,25 +145,14 @@ class SizeReport:
 
     theoretical_bits: float
     storable_bits: int
+    storable_bytes: int
     float_params: int
     int_params: int
     baseline_bits: int
     compression_ratio: float
 
-    @property
-    def storable_bytes(self) -> int:
-        return self.storable_bits // 8
-
     def to_dict(self) -> dict:
-        return {
-            "theoretical_bits": self.theoretical_bits,
-            "storable_bits": self.storable_bits,
-            "storable_bytes": self.storable_bytes,
-            "float_params": self.float_params,
-            "int_params": self.int_params,
-            "baseline_bits": self.baseline_bits,
-            "compression_ratio": self.compression_ratio,
-        }
+        return asdict(self)
 
 
 def index_bit_width(clusters: int) -> int:
@@ -266,6 +255,7 @@ def compute_size_report(rows: int, cols: int, scheme: PartitionScheme,
     return SizeReport(
         theoretical_bits=theoretical_bits,
         storable_bits=storable_bits,
+        storable_bytes=storable_bits // 8,
         float_params=float_params,
         int_params=int_params,
         baseline_bits=baseline_bits,

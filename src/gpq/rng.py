@@ -77,8 +77,7 @@ class SplitMix64:
 
     def uniforms_open(self, n: int) -> np.ndarray:
         """n uniforms in (0, 1]; safe to feed into log."""
-        x = (self.next_u64(n) >> np.uint64(11)).astype(np.float64)
-        return (x + 1.0) * _INV_2_53
+        return self.uniforms(n) + _INV_2_53  # (k + 1) 2^-53, exact
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal deviates via the Box-Muller transform."""

@@ -1,13 +1,14 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's own code paths: clustering by
-exhaustive assignment enumeration, nearest centroids by explicit
-differences, neighbors by a full cosine table, k-means++ seeding over the
-whole array at once (only the row hashes, the uniform stream and the mass
-block size are shared with the library), index bits through a count x bits
-shift table, word2vec text by one float() per value, top-k neighbours
-by a float64 table of every block's scores and argpartition, and the RMSE
-and mean cosine from whole float64 copies of both matrices.
+exhaustive assignment enumeration, the 1-D optimum by dynamic programming
+over the sorted values, nearest centroids by explicit differences,
+neighbors by a full cosine table, k-means++ seeding over the whole array at
+once (only the row hashes, the uniform stream and the mass block size are
+shared with the library), index bits through a count x bits shift table,
+word2vec text by one float() per value, top-k neighbours by a float64 table
+of every block's scores and argpartition, and the RMSE and mean cosine from
+whole float64 copies of both matrices.
 """
 
 from typing import BinaryIO
@@ -35,6 +36,26 @@ def brute_force_kmeans_objective(points, c: int) -> float:
     total_sq = np.sum(pts**2)
     objs = total_sq - np.sum(counts * np.sum(means**2, axis=2), axis=1)
     return float(objs.min())
+
+
+def optimal_kmeans_1d_objective(values, c: int) -> float:
+    """Minimum within-cluster sum of squares of 1-D values over c non-empty
+    clusters: the O(c m^2) dynamic programme of Wang & Song (2011,
+    Ckmeans.1d.dp) over the sorted values. An optimal cluster is a run of
+    them; each run's SSE takes two passes, its mean, then its squared
+    deviations from it."""
+    xs = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    m = xs.size
+    sse = np.full((m + 1, m + 1), np.inf)  # sse[i, j]: the run xs[i:j]
+    for i in range(m):
+        for j in range(i + 1, m + 1):
+            dev = xs[i:j] - xs[i:j].mean()
+            sse[i, j] = dev @ dev
+    best = sse[0].copy()  # best[j]: xs[:j] in one cluster
+    for _ in range(1, c):
+        # one more cluster: the last run xs[i:j] after the best of xs[:i]
+        best = np.min(best[:, None] + sse, axis=0)
+    return float(best[m])
 
 
 def brute_force_nearest(points, centroids):

@@ -121,6 +121,18 @@ def test_rwe_command(tmp_path, capsys):
     assert proj.size == 4 * 8
 
 
+def test_rwe_projection_output_requires_projection_dim(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rwe", "--rows", "4", "--cols", "4", "--projection-output",
+              str(tmp_path / "w.proj"), "-o", str(tmp_path / "rwe.raw")])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: usage: gpq rwe:")
+    assert "--projection-output" in out.err and "--projection-dim" in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
 
 # Every size here is at least 2**50 elements, which numpy refuses before it
 # touches a page: beyond its index range (a DataError from RweConfig), or an

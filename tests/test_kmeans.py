@@ -11,7 +11,7 @@ from gpq.kmeans import (_CHUNK_ROWS, _assign_dense, _assign_sorted, _block_momen
 from gpq.rng import SplitMix64
 
 from _oracles import (brute_force_kmeans_objective, brute_force_nearest,
-                      brute_force_sorted_plus_plus, plain_lloyd)
+                      brute_force_sorted_plus_plus, optimal_kmeans_1d_objective, plain_lloyd)
 
 KMEANS = sys.modules[_seed.__module__]  # gpq.kmeans is also a function name
 
@@ -117,6 +117,31 @@ def test_matches_enumeration_optimum(m, d, c, seed):
     res = kmeans_best_of(pts, c, seed=seed, restarts=32)
     opt = brute_force_kmeans_objective(pts, c)
     assert res.objective <= opt * (1 + 1e-9) + 1e-12
+
+
+def test_1d_optimum_matches_enumeration():
+    # the d = 1 instances of acceptance criterion 4's generator
+    rng = np.random.default_rng(2024)
+    for trial in range(200):
+        m = int(rng.integers(1, 9))
+        d = int(rng.integers(1, 3))
+        c = int(rng.integers(1, min(m, 3) + 1))
+        pts = rng.normal(scale=rng.uniform(0.5, 5.0), size=(m, d))
+        if d == 1:
+            opt = brute_force_kmeans_objective(pts, c)
+            assert abs(optimal_kmeans_1d_objective(pts, c) - opt) <= 1e-9 * opt, trial
+
+
+@pytest.mark.parametrize("trial", range(60))
+def test_1d_objective_not_below_optimum(trial):
+    # repeated float32 values: equal points, and at times fewer distinct
+    # values than clusters
+    rng = np.random.default_rng(trial)
+    m, c = int(rng.integers(10, 81)), int(rng.integers(2, 9))
+    pool = rng.normal(size=int(rng.integers(2, m + 1))).astype(np.float32)
+    pts = rng.choice(pool, size=(m, 1)).astype(np.float64)
+    opt = optimal_kmeans_1d_objective(pts, c)
+    assert kmeans(pts, c, seed=trial).objective >= opt - m * np.finfo(np.float64).eps * opt
 
 
 def test_more_clusters_than_distinct_points():
@@ -336,6 +361,9 @@ def sorted_nearest(pts, centroids):
     ([[0.0], [1.0], [2.0], [3.0], [4.0]], [[3.0], [1.0], [3.0], [1.0]]),
     # points on midpoints, lower-indexed neighbour above and below
     ([[1.0], [3.0], [0.0], [2.0], [4.0]], [[2.0], [0.0], [4.0]]),
+    # signed zeros are one centroid value: the lowest index takes both zeros
+    ([[-0.0], [1.0], [0.0], [3.0], [-1.0]], [[0.0], [-0.0], [2.0]]),
+    ([[0.0], [-1.0], [-0.0], [1.0], [2.0]], [[-0.0], [2.0], [0.0]]),
 ])
 def test_sorted_assignment_cases(pts, centroids):
     pts, centroids = np.array(pts), np.array(centroids)
