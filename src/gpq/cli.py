@@ -7,6 +7,7 @@ CRC error. Errors print a single machine-parsable line to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -18,10 +19,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_FORMAT = 4
-
-
-def _mib(n_bytes: float) -> str:
-    return f"{n_bytes / 2**20:.2f} MiB"
 
 
 def _load_embedding(path: str, fmt: str, rows: int | None, cols: int | None):
@@ -48,23 +45,15 @@ def _save_embedding(e, path: str, fmt: str, vocab_path: str | None):
         save(e, f)
 
 
-def _size_lines(report: quantizer.SizeReport) -> list[str]:
-    return [
-        f"theoretical_bits     {report.theoretical_bits:.2f}",
-        f"storable_bits        {report.storable_bits}",
-        f"storable_size        {report.storable_bytes} B ({_mib(report.storable_bytes)})",
-        f"float_params         {report.float_params}",
-        f"int_params           {report.int_params}",
-        f"baseline_size        {report.baseline_bits // 8} B ({_mib(report.baseline_bits / 8)})",
-        f"compression_ratio    {report.compression_ratio:.2f}x",
-    ]
-
-
-def _print_report(report: dict, fmt: str, lines: list[str] | None = None):
-    """report as JSON, or as text lines, by default one per entry."""
-    if lines is None:
-        lines = [f"{k:<21}{v}" for k, v in report.items()]
-    print(json.dumps(report, indent=2) if fmt == "json" else "\n".join(lines))
+def _print_report(report, fmt: str):
+    """report as JSON, or as one text line per entry, a nested dict's
+    entries in its place."""
+    if fmt == "json":
+        print(json.dumps(report, indent=2))
+        return
+    for key, value in report.items():
+        for k, v in value.items() if isinstance(value, dict) else [(key, value)]:
+            print(f"{k:<21}{v}")
 
 
 def _seed(text: str) -> int:
@@ -87,13 +76,10 @@ def cmd_compress(args) -> int:
     data = codec.encode(q)
     with open(args.output, "wb") as f:
         f.write(data)
-    report = quantizer.size_report(q)
-    extra = {"container_bytes": len(data),
-             "header_and_crc_bytes": len(data) - codec.payload_length(data)}
-    _print_report({**report.to_dict(), **extra}, args.report,
-                  _size_lines(report) + [
-                      f"container_size       {len(data)} B ({_mib(len(data))})",
-                      f"header_and_crc       {extra['header_and_crc_bytes']} B"])
+    _print_report({**dataclasses.asdict(quantizer.size_report(q)),
+                   "container_bytes": len(data),
+                   "header_and_crc_bytes": len(data) - codec.payload_length(data)},
+                  args.report)
     return EXIT_OK
 
 
@@ -107,10 +93,8 @@ def cmd_decompress(args) -> int:
 
 def cmd_info(args) -> int:
     with open(args.input, "rb") as f:
-        data = f.read()
-    q = codec.decode(data)
-    report = quantizer.size_report(q)
-    header = {
+        q = codec.decode(f.read())
+    report = {
         "rows": q.rows,
         "cols": q.cols,
         "groups": q.scheme.groups,
@@ -119,10 +103,10 @@ def cmd_info(args) -> int:
         "variances": q.codebook_vars is not None,
         "seed": q.seed,
         "f_p": quantizer.FLOAT_BITS,
-        "total_clusters": q.total_clusters,
+        "total_clusters": q.clusters * q.scheme.blocks,
+        "size": dataclasses.asdict(quantizer.size_report(q)),
     }
-    lines = [f"{k:<21}{v}" for k, v in header.items()] + _size_lines(report)
-    _print_report({**header, "size": report.to_dict()}, args.report, lines)
+    _print_report(report, args.report)
     return EXIT_OK
 
 
@@ -147,15 +131,15 @@ def cmd_compare(args) -> int:
     a = _load_embedding(args.original, args.format, args.rows, args.cols)
     b = _load_embedding(args.reconstructed, args.recon_format or args.format,
                         args.rows, args.cols)
-    _print_report(metrics.fidelity(a, b, args.k).to_dict(), args.report)
+    _print_report(dataclasses.asdict(metrics.fidelity(a, b, args.k)), args.report)
     return EXIT_OK
 
 
 def _sweep_one(e, method, scheme_kind, g, c, seed, restarts, k):
     q = _quantize(e, method, PartitionScheme(scheme_kind, g), c, seed, restarts)
     rep = metrics.fidelity(e, quantizer.reconstruct(q), k)
-    return {"groups": g, "clusters": c, **rep.to_dict(),
-            "size": quantizer.size_report(q).to_dict()}
+    return {"groups": g, "clusters": c, **dataclasses.asdict(rep),
+            "size": dataclasses.asdict(quantizer.size_report(q))}
 
 
 def cmd_sweep(args) -> int:
@@ -170,8 +154,7 @@ def cmd_sweep(args) -> int:
     kind = PartitionKind(args.scheme)
     results = [_sweep_one(e, args.method, kind, g, c, args.seed, args.restarts, args.k)
                for g, c in configs]
-    json.dump(results, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print_report(results, "json")
     return EXIT_OK
 
 

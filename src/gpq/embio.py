@@ -67,9 +67,6 @@ class EmbeddingMatrix:
     def cols(self) -> int:
         return self.values.shape[1]
 
-    def row(self, w: int) -> np.ndarray:
-        return self.values[w]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingMatrix):
             return NotImplemented

@@ -324,9 +324,17 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
             centroids[run_labels, 0] = means
             obj = float(np.sum(sse))
         else:
-            if not counts.all():
+            repaired = not counts.all()
+            if repaired:
                 _repair_empty(pts, labels, centroids, counts)
             centroids = _cluster_means(labels, pts, counts)
+            if repaired:
+                # into the members' range: a rounded mean of equal points can
+                # miss their value, and a pure cluster's objective then rises
+                lo, hi = np.full_like(centroids, np.inf), np.full_like(centroids, -np.inf)
+                np.minimum.at(lo, labels, pts)
+                np.maximum.at(hi, labels, pts)
+                np.clip(centroids, lo, hi, out=centroids)
             sq_resid = pts - centroids[labels]
             sq_resid *= sq_resid
             obj = float(np.sum(sq_resid))

@@ -4,7 +4,7 @@ nearest-neighbor overlap under cosine similarity."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +20,6 @@ class FidelityReport:
     mean_cosine: float
     nn_overlap_at_k: float
     k: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:

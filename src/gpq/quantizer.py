@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,11 +117,6 @@ class QuantizedEmbedding:
     def clusters(self) -> int:
         return self.codebook_means.shape[1]
 
-    @property
-    def total_clusters(self) -> int:
-        """Number of Gaussians/centroids overall: c*g structured, c unified."""
-        return self.clusters * self.scheme.blocks
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantizedEmbedding):
             return NotImplemented
@@ -150,9 +145,6 @@ class SizeReport:
     int_params: int
     baseline_bits: int
     compression_ratio: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def index_bit_width(clusters: int) -> int:

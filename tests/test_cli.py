@@ -94,15 +94,36 @@ def test_compare_mixed_formats(tmp_path, capsys, w2v_file):
 
 
 def test_text_and_json_carry_same_numbers(tmp_path, capsys, w2v_file):
+    # each text line is a JSON entry in JSON order, a nested dict's entries in its place
     src, _ = w2v_file
     out = tmp_path / "x.gpqe"
-    args = ["compress", "--input", str(src), "-g", "4", "-c", "3", "-o", str(out)]
-    code, text_out, _ = run(capsys, *args, "--report", "text")
+    for args in (["compress", "--input", str(src), "-g", "4", "-c", "3", "-o", str(out)],
+                 ["info", "--input", str(out)],
+                 ["compare", "--original", str(src), "--reconstructed", str(src), "-k", "3"],
+                 ["rwe", "--rows", "8", "--cols", "4", "-o", str(tmp_path / "r.raw")]):
+        code, text_out, _ = run(capsys, *args, "--report", "text")
+        assert code == 0
+        code, json_out, _ = run(capsys, *args, "--report", "json")
+        entries = [(k, v) for key, value in json.loads(json_out).items()
+                   for k, v in (value.items() if isinstance(value, dict) else [(key, value)])]
+        assert text_out.splitlines() == [f"{k:<21}{v}" for k, v in entries]
+
+
+@pytest.mark.parametrize("scheme,total_clusters", [("structured", 3 * 4), ("unified", 3)])
+def test_compress_and_info_size_entries(tmp_path, capsys, w2v_file, scheme, total_clusters):
+    src, _ = w2v_file
+    out = tmp_path / "x.gpqe"
+    code, stdout, _ = run(capsys, "compress", "--input", str(src), "--scheme", scheme,
+                          "-g", "4", "-c", "3", "-o", str(out), "--report", "json")
     assert code == 0
-    code, json_out, _ = run(capsys, *args, "--report", "json")
-    rep = json.loads(json_out)
-    assert f"storable_bits        {rep['storable_bits']}" in text_out
-    assert f"float_params         {rep['float_params']}" in text_out
+    rep = json.loads(stdout)
+    assert rep["header_and_crc_bytes"] == 39
+    assert rep["container_bytes"] == rep["storable_bytes"] + 39 == out.stat().st_size
+    code, stdout, _ = run(capsys, "info", "--input", str(out), "--report", "json")
+    assert code == 0
+    info = json.loads(stdout)
+    assert info["total_clusters"] == total_clusters
+    assert info["size"] == {k: rep[k] for k in info["size"]}
 
 
 def test_rwe_command(tmp_path, capsys):

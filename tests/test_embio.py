@@ -266,4 +266,4 @@ class TestEmbeddingMatrix:
 
     def test_row_accessor(self):
         e = EmbeddingMatrix(np.arange(6, dtype=np.float32).reshape(2, 3))
-        assert np.array_equal(e.row(1), [3, 4, 5])
+        assert np.array_equal(e.values[1], [3, 4, 5])

@@ -332,17 +332,10 @@ def test_run_moments_match_two_pass(kind):
                                             + n * dmean**2)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="the mean of three equal float64 values can round, so the objective "
-                          "of pure clusters rises by rounding noise, past the monotonicity "
-                          "assert's 1e-300 absolute slack")
 def test_float64_duplicates_more_clusters_than_distinct():
     kmeans(np.array([[0.1]] * 3 + [[0.2]] * 3), 3, seed=0)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True,
-                   reason="as at d = 1: the per-column mean of three equal float64 rows can "
-                          "round, so the objective of pure clusters rises by rounding noise")
 @pytest.mark.parametrize("pts", [[[0.1, 0.1]] * 3 + [[0.1, 0.2]] * 3,
                                  [[0.1] * 16] * 3 + [[0.2] * 16] * 3], ids=["d2", "d16"])
 def test_float64_duplicate_rows_more_clusters_than_distinct(pts):
