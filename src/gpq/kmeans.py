@@ -4,7 +4,8 @@ Returns per-cluster means, per-dimension population variances, and
 assignments. Results are a pure function of (points, c, seed) and, up to
 cluster relabeling and float summation order, independent of the order of
 input points. Lloyd's loop stops after 100 iterations or once the objective
-improves by 1e-6 of itself or less, as it does when no assignment changes.
+improves by 1e-6 of itself or less: when no assignment changes, and on any
+iteration whose objective does not fall, including a rise from rounding.
 
 Each Lloyd iteration assigns every point to its nearest centroid with one
 of two kernels, chosen from the point dimension d alone:
@@ -29,9 +30,11 @@ of two kernels, chosen from the point dimension d alone:
   for d > 1.
 - d > 1: argmin of ||c||^2 - 2 x.c over blocks of 2^20 // (8 c) points,
   about 1 MiB of float64 scores, so the block size follows from c alone
-  and no temporary grows with m. The update is one statistics pass:
-  per-cluster counts and sums by np.bincount, and one residual whose
-  squares give the objective.
+  and no temporary grows with m. "Nearest" means by that score in
+  float64: on rows a few ulps apart it can differ from the nearest by
+  direct distance, and the objective can then rise. The update is one
+  statistics pass: per-cluster counts and sums by np.bincount, and one
+  residual whose squares give the objective.
 
 Both kernels resolve ties to the lowest centroid index, and neither the
 kernel nor the block sizes are settings: they follow from the shape of the
@@ -280,8 +283,8 @@ def _repair_empty(pts, assign, centroids, counts):
 def kmeans(points, c: int, seed: int) -> ClusterResult:
     """Lloyd iterations from k-means++ seeding, a pure function of (points,
     c, seed). Stops after DEFAULT_MAX_ITER iterations or once the objective
-    improves by DEFAULT_REL_TOL of itself or less, as it does when no
-    assignment changes; repairs empty clusters only when there are some.
+    improves by DEFAULT_REL_TOL of itself or less, or does not fall, as when
+    no assignment changes; repairs empty clusters only when there are some.
 
     An iteration holds runs of the sorted points (d == 1, no cluster empty;
     labels is None), updated by _run_moments, or labels in input order
@@ -324,21 +327,12 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
             centroids[run_labels, 0] = means
             obj = float(np.sum(sse))
         else:
-            repaired = not counts.all()
-            if repaired:
+            if not counts.all():
                 _repair_empty(pts, labels, centroids, counts)
             centroids = _cluster_means(labels, pts, counts)
-            if repaired:
-                # into the members' range: a rounded mean of equal points can
-                # miss their value, and a pure cluster's objective then rises
-                lo, hi = np.full_like(centroids, np.inf), np.full_like(centroids, -np.inf)
-                np.minimum.at(lo, labels, pts)
-                np.maximum.at(hi, labels, pts)
-                np.clip(centroids, lo, hi, out=centroids)
             sq_resid = pts - centroids[labels]
             sq_resid *= sq_resid
             obj = float(np.sum(sq_resid))
-        assert obj <= prev_obj * (1.0 + 1e-12) + 1e-300
         if np.isfinite(prev_obj) and prev_obj - obj <= DEFAULT_REL_TOL * prev_obj:
             break
         prev_obj = obj

@@ -13,6 +13,7 @@ import warnings
 import zlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,6 +166,24 @@ def test_argv_exit_contract(argv):
             with open(os.path.join(tmp, name), "wb") as f:
                 f.write(content)
         check_exit(argv, tmp)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_near_duplicate_rows_exit_contract(seed):
+    """Rows a few ulps apart around k centres: at d > 1 the assignment
+    kernel can then pick a centroid that is not the nearest, and Lloyd's
+    objective rises by rounding."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([2, 4, 8, 16]))
+    k, m = int(rng.integers(2, 12)), int(rng.integers(64, 256))
+    centres = rng.normal(size=(k, d))
+    pts = (centres[rng.integers(0, k, size=m)] + rng.normal(size=(m, d)) * 1e-9).astype("<f4")
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "emb.raw"), "wb") as f:
+            f.write(pts.tobytes())
+        check_exit(["compress", "--input", "emb.raw", "--format", "raw", "--rows", str(m),
+                    "--cols", str(d), "--method", "pq", "--scheme", "structured", "-g", "1",
+                    "-c", str(int(rng.integers(2, m // 2))), "-o", "out"], tmp)
 
 
 # values at and beyond binary32 range, non-finite, syntax that float() takes

@@ -263,7 +263,3 @@ class TestEmbeddingMatrix:
     def test_rejects_empty(self):
         with pytest.raises(DataError):
             EmbeddingMatrix(np.zeros((0, 3), dtype=np.float32))
-
-    def test_row_accessor(self):
-        e = EmbeddingMatrix(np.arange(6, dtype=np.float32).reshape(2, 3))
-        assert np.array_equal(e.values[1], [3, 4, 5])

@@ -342,6 +342,22 @@ def test_float64_duplicate_rows_more_clusters_than_distinct(pts):
     kmeans(np.array(pts), 3, seed=0)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 724])
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+@pytest.mark.parametrize("dtype, noise", [(np.float32, 1e-7), (np.float64, 1e-15)],
+                         ids=["float32", "float64"])
+def test_near_duplicate_rows(dtype, noise, d, seed):
+    # rows a few ulps apart around a few centres can make Lloyd's objective
+    # rise by rounding; at d > 1 the assignment can pick a centroid that is
+    # not the nearest by direct distance
+    rng = np.random.default_rng(seed)
+    k, m = int(rng.integers(2, 6)), int(rng.integers(20, 80))
+    pts = (rng.normal(size=(k, d))[rng.integers(0, k, size=m)]
+           + rng.normal(size=(m, d)) * noise).astype(dtype)
+    c = int(rng.integers(2, m // 2))
+    check_result_invariants(pts, kmeans(pts, c, seed=0), c)
+
+
 def sorted_nearest(pts, centroids):
     xs = np.sort(pts[:, 0])
     return _value_labels(pts[:, 0], xs, *_assign_sorted(xs, centroids))
