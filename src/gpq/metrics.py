@@ -11,7 +11,8 @@ import numpy as np
 from .embio import EmbeddingMatrix
 from .errors import DataError
 
-_BLOCK_BYTES = 1 << 24  # rows per block: as many as this many bytes of float64 scores hold
+_BLOCK_BYTES = 1 << 26  # a row block's float64 scores take at most this many bytes
+_SUM_CHUNK = 1 << 16  # values per float64 chunk of the RMSE's sum
 
 
 @dataclass(frozen=True)
@@ -22,20 +23,28 @@ class FidelityReport:
     k: int
 
 
+def _block_rows(v: int) -> int:
+    """Rows per block against V columns: at most 512, and no more than
+    _BLOCK_BYTES of float64 scores hold (at least one). Each block's
+    float32 GEMM packs the whole matrix once, so a block needs enough rows
+    to amortise that; blocks of over 512 rows were no faster."""
+    return max(1, min(512, _BLOCK_BYTES // (8 * v)))
+
+
 def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
     """Row indices of the k most cosine-similar other rows, per row, most
     similar first, by float64 cosine. Ties resolve to the lower row index.
 
-    Rows are screened in blocks of _BLOCK_BYTES // (8 V) rows (at least
-    one), so no temporary grows with V^2. Every column of a row's float64
-    top k, ties included, survives the float32 screen, and the float32
-    order of the survivors is the answer where the error bound separates
-    them. Other rows with few survivors re-score just those in float64;
-    the rest (zero rows, many duplicates) are scored against every column
-    by _rank_all, gathered over all blocks.
+    Rows are screened in blocks of _block_rows(V) rows, so no temporary
+    grows with V^2. Every column of a row's float64 top k, ties included,
+    survives the float32 screen, and the float32 order of the survivors is
+    the answer where the error bound separates them. Other rows with few
+    survivors re-score just those in float64; the rest (zero rows, many
+    duplicates) are scored against every column by _rank_all, gathered
+    over all blocks.
     """
     v, d = values.shape
-    step = max(1, _BLOCK_BYTES // (8 * v))
+    step = _block_rows(v)
     unit = _UnitRows(values, step)
     # With ε = 2**-24, the float32 score s32 of two unit rows' binary32
     # roundings errs from their float64 score s64 by e <= expm1((d + 2)ε)
@@ -69,8 +78,11 @@ def _topk_neighbors(values: np.ndarray, k: int) -> np.ndarray:
         many.append(lo + np.flatnonzero(~few))
     many = np.concatenate(many)
     whole = unit[:] if len(many) else None
-    for lo in range(0, len(many), step):
-        out[many[lo:lo + step]] = _rank_all(whole, many[lo:lo + step], k)
+    # _rank_all's V-wide float64 scores and their argsort: a quarter of
+    # the screen's budget, at most 16 MiB of scores at any V
+    batch = _block_rows(4 * v)
+    for lo in range(0, len(many), batch):
+        out[many[lo:lo + batch]] = _rank_all(whole, many[lo:lo + batch], k)
     return out
 
 
@@ -177,6 +189,26 @@ def _mean_cosine(x: np.ndarray, y: np.ndarray, step: int) -> float:
     return float(np.mean(cos))
 
 
+def _squared_error_sum(a: np.ndarray, b: np.ndarray) -> np.float64:
+    """Sum of the float64 (a - b)**2 of two flat float32 arrays in chunks of
+    at most _SUM_CHUNK values, added in numpy's pairwise order: split as
+    its pairwise sum does (past 128 values, the first half rounded down to
+    a multiple of 8), and each chunk summed by np.add.reduce, which goes on
+    by the same rule. So it equals np.sum of the whole float64 square."""
+    n = len(a)
+    if n > _SUM_CHUNK:
+        half = n // 2 - n // 2 % 8
+        return _squared_error_sum(a[:half], b[:half]) + _squared_error_sum(a[half:], b[half:])
+    sq = np.subtract(a, b, dtype=np.float64)  # not in float32
+    return np.add.reduce(np.square(sq, out=sq))
+
+
+def _rmse(a: np.ndarray, b: np.ndarray) -> float:
+    """float64 RMSE of two float32 matrices of one shape, the same bits as
+    np.sqrt(np.mean) of their whole float64 squared difference."""
+    return float(np.sqrt(_squared_error_sum(a.ravel(), b.ravel()) / a.size))
+
+
 def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int) -> FidelityReport:
     """Compare a reconstruction r against the original e."""
     if e.values.shape != r.values.shape:
@@ -185,10 +217,8 @@ def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int) -> FidelityReport:
     if not 1 <= k < e.rows:
         raise DataError(f"k={k} out of range [1, {e.rows})")
 
-    sq = np.subtract(e.values, r.values, dtype=np.float64)  # not in float32
-    rmse = float(np.sqrt(np.mean(np.square(sq, out=sq))))
-    del sq
-    mean_cosine = _mean_cosine(e.values, r.values, max(1, _BLOCK_BYTES // (8 * e.rows)))
+    rmse = _rmse(e.values, r.values)
+    mean_cosine = _mean_cosine(e.values, r.values, _block_rows(e.rows))
 
     nn_a = _topk_neighbors(e.values, k)
     nn_b = _topk_neighbors(r.values, k)

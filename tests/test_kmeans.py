@@ -333,13 +333,15 @@ def test_run_moments_match_two_pass(kind):
 
 
 def test_float64_duplicates_more_clusters_than_distinct():
-    kmeans(np.array([[0.1]] * 3 + [[0.2]] * 3), 3, seed=0)
+    pts = np.array([[0.1]] * 3 + [[0.2]] * 3)
+    check_result_invariants(pts, kmeans(pts, 3, seed=0), 3)
 
 
 @pytest.mark.parametrize("pts", [[[0.1, 0.1]] * 3 + [[0.1, 0.2]] * 3,
                                  [[0.1] * 16] * 3 + [[0.2] * 16] * 3], ids=["d2", "d16"])
 def test_float64_duplicate_rows_more_clusters_than_distinct(pts):
-    kmeans(np.array(pts), 3, seed=0)
+    pts = np.array(pts)
+    check_result_invariants(pts, kmeans(pts, 3, seed=0), 3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 724])

@@ -126,22 +126,22 @@ def test_topk_tie_at_kth_goes_to_lower_index():
 
 
 def test_fidelity_memory_below_one_similarity_table():
-    # the larger of the RMSE's float64 V x d buffer, freed before top-k,
-    # and top-k's float32 unit copy with a block of scores and its mask;
-    # plus both calls' neighbour lists. The similarity table is 128 MB.
+    # top-k's float32 unit copy with a block of scores and its mask, plus
+    # both calls' neighbour lists; the RMSE holds no V x d buffer. The
+    # similarity table is 128 MB.
     rng = np.random.default_rng(7)
     v, d, k = 4000, 128, 10
     a = rng.normal(size=(v, d)).astype(np.float32)
     e = emb(a)
     r = emb(a + rng.normal(scale=0.1, size=a.shape).astype(np.float32))
-    block32 = 4 * v * (metrics._BLOCK_BYTES // (8 * v))
+    block32 = 4 * v * metrics._block_rows(v)
     tracemalloc.start()
     try:
         fidelity(e, r, k=k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < max(8 * v * d, 4 * v * d + 1.5 * block32) + 2 * 8 * v * k
+    assert peak < 4 * v * d + 1.5 * block32 + 2 * 8 * v * k
 
 
 @pytest.mark.parametrize("shape", [(4000, 128), (2000, 64)], ids=["structured", "unified"])
@@ -154,6 +154,49 @@ def test_fidelity_rmse_and_cosine_match_whole_float64_copies(shape):
     a[:3], b[1:4] = 0.0, 0.0
     a, b = a.astype(np.float32), b.astype(np.float32)
     rep = fidelity(emb(a), emb(b), k=1)
+    assert (rep.rmse, rep.mean_cosine) == float64_rmse_and_mean_cosine(a, b)
+
+
+@pytest.mark.parametrize("size", [1, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1,
+                                  3 * 2**16 + 5, 2**17 + 20])
+def test_rmse_matches_whole_float64_copy_across_chunk_edges(size):
+    # sizes about numpy's pairwise block (128) and the RMSE's chunk (2**16),
+    # two of them split off a multiple of 8, as one row, one column and,
+    # where size is even, two columns; values on scales spread over
+    # decades. The sum of squares too has the whole copy's bits, and
+    # identical matrices give 0.
+    rng = np.random.default_rng(size)
+    shapes = [(1, size), (size, 1)] + ([(size // 2, 2)] if size % 2 == 0 else [])
+    for shape in shapes * 3:
+        a = (rng.normal(size=shape) * np.exp(3 * rng.normal(size=shape))).astype(np.float32)
+        b = (a + rng.normal(scale=0.05, size=shape)).astype(np.float32)
+        rmse = metrics._rmse(a, b)
+        assert rmse > 0.0 and rmse == float64_rmse_and_mean_cosine(a, b)[0]
+        assert (metrics._squared_error_sum(a.ravel(), b.ravel())
+                == np.sum(np.square(np.subtract(a, b, dtype=np.float64))))
+        assert metrics._rmse(a, a.copy()) == 0.0
+
+
+def test_fidelity_rmse_and_cosine_without_a_float64_copy(monkeypatch):
+    # up to top-k, fidelity holds chunks of the RMSE's difference and
+    # blocks of mean cosine rows, well below one float64 V x d copy
+    # (32 MiB). Top-k's own memory is bounded by the tests above.
+    rng = np.random.default_rng(13)
+    v, d = 8192, 512
+    a = rng.normal(size=(v, d)).astype(np.float32)
+    b = a + rng.normal(scale=0.1, size=a.shape).astype(np.float32)
+    e, r = emb(a), emb(b)
+    peaks = []
+    def spy(values, k):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return np.zeros((len(values), k), np.intp)
+    monkeypatch.setattr(metrics, "_topk_neighbors", spy)
+    tracemalloc.start()
+    try:
+        rep = fidelity(e, r, k=10)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 and max(peaks) < 8 * v * d
     assert (rep.rmse, rep.mean_cosine) == float64_rmse_and_mean_cosine(a, b)
 
 
@@ -349,7 +392,7 @@ def test_topk_memory_unit_copies_and_a_float32_block():
     rng = np.random.default_rng(7)
     v, d = 4000, 128
     a = rng.normal(size=(v, d)).astype(np.float32)
-    block32 = 4 * v * (metrics._BLOCK_BYTES // (8 * v))
+    block32 = 4 * v * metrics._block_rows(v)
     tracemalloc.start()
     try:
         metrics._topk_neighbors(a, 10)
@@ -375,3 +418,28 @@ def test_topk_memory_small_blocks_without_float64_unit_matrix(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 * v * d + 1.5 * block32 + 8 * v * k
+
+
+def test_rank_all_memory_in_batches_of_16_mib(monkeypatch):
+    # 819 zero rows at V = 8192 go to _rank_all, whose V-wide float64
+    # scores and their argsort stay within 2**24 bytes each: 256-row
+    # batches, not the screen's 512. Besides those and the float64 unit
+    # matrix: the float32 unit copy, the output and 1 MiB of small arrays.
+    rng = np.random.default_rng(12)
+    v, d, k = 8192, 16, 10
+    a = rng.normal(size=(v, d)).astype(np.float32)
+    zero = rng.choice(v, v // 10, replace=False)
+    a[zero] = 0.0
+    ranked = set()
+    def spy(unit, rows, k, rank=metrics._rank_all):
+        ranked.update(rows.tolist())
+        return rank(unit, rows, k)
+    monkeypatch.setattr(metrics, "_rank_all", spy)
+    tracemalloc.start()
+    try:
+        metrics._topk_neighbors(a, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(zero.tolist()) <= ranked
+    assert peak < 8 * v * d + 2 * 2**24 + 4 * v * d + 8 * v * k + 2**20
