@@ -2,8 +2,8 @@
 codebooks, under two partition schemes.
 
 Structured partitioning splits the matrix into g column groups and
-clusters each group independently. Unified partitioning stacks the g
-groups row-wise and clusters once, so all groups share one codebook.
+clusters each group independently. Unified partitioning clusters the
+sub-vectors of all g groups as one set, so all groups share one codebook.
 Gaussian codebooks additionally keep per-dimension intra-cluster
 variances, enabling sampled reconstruction.
 """
@@ -153,24 +153,24 @@ def index_bit_width(clusters: int) -> int:
 
 
 def partition(e: EmbeddingMatrix, scheme: PartitionScheme) -> np.ndarray:
-    """Split the matrix into an array of shape (blocks, groups // blocks
-    * rows, n/g): block b stacks the contiguous column ranges of the
-    groups it serves row-wise, in group order.
+    """Split the matrix into a view of shape (blocks, groups // blocks
+    * rows, n/g): block b holds the sub-vectors of the groups it serves
+    in the matrix's own row-major order, so sub-vector j of row r is
+    entry r * (groups // blocks) + j.
 
-    Structured: one block per group, a view of the matrix. Unified: a
-    single block holding all g groups, a copy.
+    Structured: one block per group. Unified: a single block holding all
+    g groups, row by row. Neither copies a row-major matrix.
     """
     scheme.check_divides(e.cols)
-    sub = e.cols // scheme.groups
-    return (e.values.reshape(e.rows, scheme.groups, sub).transpose(1, 0, 2)
-            .reshape(scheme.blocks, -1, sub))
+    return (e.values.reshape(e.rows, scheme.blocks, -1).transpose(1, 0, 2)
+            .reshape(scheme.blocks, -1, e.cols // scheme.groups))
 
 
 def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
               restarts: int, with_vars: bool) -> QuantizedEmbedding:
     compute_size_report(e.rows, e.cols, scheme, c, with_vars)  # checks c and g up front
     g, blocks = scheme.groups, scheme.blocks
-    per = g // blocks  # groups stacked row-wise into each block
+    per = g // blocks  # groups served by each block
     if c > per * e.rows:
         raise DataError(f"cluster count {c} exceeds {per * e.rows} sub-vectors per codebook")
     index = np.empty((e.rows, g), dtype=np.uint32)
@@ -179,7 +179,7 @@ def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
 
     for b, block in enumerate(partition(e, scheme)):
         res = kmeans_best_of(block, c, derive_seed(seed, b), restarts)
-        index[:, b * per:(b + 1) * per] = res.assignments.reshape(per, e.rows).T
+        index[:, b * per:(b + 1) * per] = res.assignments.reshape(e.rows, per)
         # a variance beyond binary32 range casts to inf, which
         # QuantizedEmbedding rejects
         with np.errstate(over="ignore"):

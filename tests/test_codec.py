@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _memory import traced_peak
 from _oracles import pack_indices as reference_pack, unpack_indices as reference_unpack
 from gpq import (DataError, EmbeddingMatrix, FormatError, PartitionKind, PartitionScheme,
                  QuantizedEmbedding, ReconstructMode, RweConfig, gpq_compress, pq_compress,
@@ -92,17 +92,9 @@ def test_codec_peak_memory_bounded_by_index():
     packed = pack_indices(index, 6)
     data = encode(q)
 
-    def peak(fn, *args) -> int:
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     for fn, args in ((pack_indices, (index, 6)), (unpack_indices, (packed, index.size, 6)),
                      (encode, (q,)), (decode, (data,))):
-        assert peak(fn, *args) <= 3 * index.nbytes, fn.__name__
+        assert traced_peak(fn, *args) <= 3 * index.nbytes, fn.__name__
 
 
 class TestContainer:
@@ -131,13 +123,8 @@ class TestContainer:
         struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
         data = bytes(data)
         assert len(data) == 43
-        tracemalloc.start()
-        try:
-            q = decode(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        assert traced_peak(decode, data) < 64 * 1024
+        q = decode(data)
         assert (q.rows, q.cols, q.clusters) == (150_525_201, 14, 1)
         assert encode(q) == data
         path = tmp_path / "c1.gpqe"
@@ -386,7 +373,7 @@ PINNED = {
         "a76dd213e95744d97ebe7f48ed133cd32686f0540b56acee390dc711d213e64c",
         "8075475489326ed224bd11bbb04f8ccd96267c72e257f31e26926e4500d1f766",
         None), (
-        "8842978f6f0de2907b67d0bf49b284c53e2b76dbdf032517480e00d77b015d59",
+        "924509efb0130e54906dc2c9222fe7f5105167925ac1f33397cde54cfd49437c",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         None)),
     ("gpq", "structured"): ((
@@ -412,7 +399,7 @@ PINNED = {
         "3969ee57a794aa9a3ef8255cb788bf94bd3adeb463be351b9109c6e2dc49b03b",
         "8075475489326ed224bd11bbb04f8ccd96267c72e257f31e26926e4500d1f766",
         "5653b8421df2fab97796ccd43a06ae2c40a852574ef3096f99d25511c4b6db0d"), (
-        "75d751459a5a660fff721ccad3fbd8b21f7cee901b0bfe8a128aa72e8baf4816",
+        "20d494a5b6bf7be656f382cef9505b63d98f5a20c47b58aa1132e6bffa82a0d2",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8",
         "e0f088cbe3a6692365762ebc35a1944a12b4566ba6bcf8ad92654081293babc8")),
 }

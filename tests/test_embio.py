@@ -1,5 +1,4 @@
 import io
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _memory import traced_peak
 from _oracles import load_word2vec_text as reference_load
 from gpq import (DataError, EmbeddingMatrix, embio, load_raw, load_word2vec_text,
                  save_raw, save_word2vec_text)
@@ -153,16 +153,8 @@ class TestWord2vecLoadMatchesReference:
         text = "20000 64\n" + "".join(f"w{i} {row % tuple(v)}\n" for i, v in
                                       enumerate(rng.standard_normal((20000, 64)).tolist()))
         data = text.encode()
-
-        def peak(load) -> int:
-            tracemalloc.start()
-            try:
-                load(io.BytesIO(data))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(load_word2vec_text) <= 1.1 * peak(reference_load)
+        assert (traced_peak(lambda: load_word2vec_text(io.BytesIO(data)))
+                <= 1.1 * traced_peak(lambda: reference_load(io.BytesIO(data))))
 
 
 class TestRaw:

@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,7 @@ from gpq.kmeans import (_CHUNK_ROWS, _assign_dense, _assign_sorted, _block_momen
                         _run_moments, _seed, _value_labels)
 from gpq.rng import SplitMix64
 
+from _memory import traced_peak
 from _oracles import (brute_force_kmeans_objective, brute_force_nearest,
                       brute_force_sorted_plus_plus, optimal_kmeans_1d_objective, plain_lloyd)
 
@@ -227,12 +227,7 @@ def test_sorted_kmeans_memory_bound():
     # and each m-long float64 array is 125 MiB of RSS
     m = 4 * _CHUNK_ROWS
     pts = np.random.default_rng(0).normal(size=(m, 1))
-    tracemalloc.start()
-    try:
-        kmeans(pts, 50, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(kmeans, pts, 50, 1)
     # measured: 2.30 arrays (the sorted copy, the seeding's d2 and its buffer
     # of _CHUNK_ROWS points); 0.2 arrays of margin for small temporaries
     assert peak < 2.5 * m * 8
@@ -421,13 +416,7 @@ def test_dense_assignment_memory_bound():
     # at m = 70000, c = 256, one block of all rows would be 137 MiB
     rng = np.random.default_rng(9)
     pts, centroids = rng.normal(size=(70000, 16)), rng.normal(size=(256, 16))
-    tracemalloc.start()
-    try:
-        _assign_dense(pts, centroids)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    assert traced_peak(_assign_dense, pts, centroids) < 2 * 2**20
 
 
 @pytest.fixture(params=[None, 1, 3], ids=["default", "block1", "block3"])
@@ -505,13 +494,7 @@ def test_plus_plus_memory_bound():
     m = 4 * _CHUNK_ROWS
     for d in (2, 16):
         pts = np.random.default_rng(d).normal(size=(m, d))
-        tracemalloc.start()
-        try:
-            seed_of(pts, 4, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (d + 2.2) * m * 8, d
+        assert traced_peak(seed_of, pts, 4, 1) < (d + 2.2) * m * 8, d
 
 
 @pytest.mark.parametrize("kind",["duplicates", "blocks", "few_distinct", "overflow"])
@@ -635,10 +618,4 @@ def test_sorted_seeding_memory_bound():
     # reuse one buffer of at most _CHUNK_ROWS points
     m = 4 * _CHUNK_ROWS
     xs = np.sort(np.random.default_rng(0).normal(size=m))
-    tracemalloc.start()
-    try:
-        _seed(xs[None], 50, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * m * 8
+    assert traced_peak(_seed, xs[None], 50, 1) < 1.5 * m * 8

@@ -7,6 +7,7 @@ import pytest
 from gpq import (DataError, EmbeddingMatrix, PartitionKind, PartitionScheme, RweConfig,
                  fidelity, gpq_compress, metrics, pq_compress, reconstruct, rwe_generate)
 
+from _memory import traced_peak
 from _oracles import (argpartition_topk_neighbors, brute_force_topk_cosine,
                       float64_rmse_and_mean_cosine)
 
@@ -135,13 +136,7 @@ def test_fidelity_memory_below_one_similarity_table():
     e = emb(a)
     r = emb(a + rng.normal(scale=0.1, size=a.shape).astype(np.float32))
     block32 = 4 * v * metrics._block_rows(v)
-    tracemalloc.start()
-    try:
-        fidelity(e, r, k=k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * v * d + 1.5 * block32 + 2 * 8 * v * k
+    assert traced_peak(fidelity, e, r, k) < 4 * v * d + 1.5 * block32 + 2 * 8 * v * k
 
 
 @pytest.mark.parametrize("shape", [(4000, 128), (2000, 64)], ids=["structured", "unified"])
@@ -393,13 +388,7 @@ def test_topk_memory_unit_copies_and_a_float32_block():
     v, d = 4000, 128
     a = rng.normal(size=(v, d)).astype(np.float32)
     block32 = 4 * v * metrics._block_rows(v)
-    tracemalloc.start()
-    try:
-        metrics._topk_neighbors(a, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * v * d + 1.5 * block32
+    assert traced_peak(metrics._topk_neighbors, a, 10) < 4 * v * d + 1.5 * block32
 
 
 def test_topk_memory_small_blocks_without_float64_unit_matrix(monkeypatch):
@@ -411,13 +400,7 @@ def test_topk_memory_small_blocks_without_float64_unit_matrix(monkeypatch):
     a = rng.normal(size=(v, d)).astype(np.float32)
     monkeypatch.setattr(metrics, "_BLOCK_BYTES", 8 * v * 64)
     block32 = 4 * v * 64
-    tracemalloc.start()
-    try:
-        metrics._topk_neighbors(a, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * v * d + 1.5 * block32 + 8 * v * k
+    assert traced_peak(metrics._topk_neighbors, a, k) < 4 * v * d + 1.5 * block32 + 8 * v * k
 
 
 def test_rank_all_memory_in_batches_of_16_mib(monkeypatch):
@@ -435,11 +418,6 @@ def test_rank_all_memory_in_batches_of_16_mib(monkeypatch):
         ranked.update(rows.tolist())
         return rank(unit, rows, k)
     monkeypatch.setattr(metrics, "_rank_all", spy)
-    tracemalloc.start()
-    try:
-        metrics._topk_neighbors(a, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(metrics._topk_neighbors, a, k)
     assert set(zero.tolist()) <= ranked
     assert peak < 8 * v * d + 2 * 2**24 + 4 * v * d + 8 * v * k + 2**20

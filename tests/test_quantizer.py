@@ -1,12 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from _memory import traced_peak
 from gpq import (DataError, EmbeddingMatrix, PartitionKind, PartitionScheme,
-                 ReconstructMode, codec, gpq_compress, partition, pq_compress,
-                 reconstruct, size_report)
+                 ReconstructMode, RweConfig, codec, gpq_compress, partition, pq_compress,
+                 reconstruct, rwe_generate, size_report)
 
 STRUCT = PartitionKind.STRUCTURED
 UNIFIED = PartitionKind.UNIFIED
+KMEANS = importlib.import_module("gpq.kmeans")  # gpq.kmeans is also a function name
 
 
 def emb(values, vocab=None):
@@ -28,10 +32,11 @@ class TestPartition:
         assert np.shares_memory(blocks, e.values)
 
     def test_unified(self):
+        # row by row: sub-vector j of row r is entry r * g + j
         e = emb(np.arange(8).reshape(2, 4))
-        stacked = partition(e, PartitionScheme(UNIFIED, 2))
-        assert stacked.shape == (1, 4, 2)
-        assert np.array_equal(stacked[0], [[0, 1], [4, 5], [2, 3], [6, 7]])
+        unified = partition(e, PartitionScheme(UNIFIED, 2))
+        assert unified.shape == (1, 4, 2)
+        assert np.array_equal(unified[0], [[0, 1], [2, 3], [4, 5], [6, 7]])
 
     @pytest.mark.parametrize("kind", [STRUCT, UNIFIED])
     def test_single_group_identity(self, kind):
@@ -45,8 +50,17 @@ class TestPartition:
         e = emb(rng.normal(size=(6, 8)))
         blocks = partition(e, PartitionScheme(STRUCT, 4))
         assert np.array_equal(np.hstack(blocks), e.values)
-        stacked = partition(e, PartitionScheme(UNIFIED, 4))
-        assert np.array_equal(stacked.reshape(blocks.shape), blocks)
+        unified = partition(e, PartitionScheme(UNIFIED, 4))
+        assert np.array_equal(unified[0].reshape(6, 4, 2).transpose(1, 0, 2), blocks)
+
+    @pytest.mark.parametrize("kind", [STRUCT, UNIFIED])
+    @pytest.mark.parametrize("g", [8, 64])
+    def test_views_without_a_copy(self, kind, g):
+        # 2000 x 64 is 500 KiB; a block view costs a few array headers
+        e = emb(np.random.default_rng(0).normal(size=(2000, 64)))
+        scheme = PartitionScheme(kind, g)
+        assert np.shares_memory(partition(e, scheme), e.values)
+        assert traced_peak(partition, e, scheme) < 4 * 1024
 
     def test_non_dividing_groups(self):
         with pytest.raises(DataError, match="does not divide"):
@@ -100,6 +114,24 @@ class TestCompress:
         qu = pq_compress(e, PartitionScheme(UNIFIED, 1), 3, seed=9, restarts=2)
         assert np.array_equal(qs.index_matrix, qu.index_matrix)
         assert np.array_equal(qs.codebook_means, qu.codebook_means)
+
+    @pytest.mark.parametrize("kind, c", [(STRUCT, 6), (UNIFIED, 20)])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_row_permutation_permutes_index_rows(self, monkeypatch, kind, c, restarts):
+        # n/g = 1: means and variances come from the sorted values, so a
+        # row permutation leaves the codebook bit-identical and permutes the
+        # index rows, unless an empty cluster had to be refilled
+        repairs = []
+        repair = KMEANS._repair_empty
+        monkeypatch.setattr(KMEANS, "_repair_empty", lambda *a: repairs.append(1) or repair(*a))
+        e = rwe_generate(RweConfig(rows=300, cols=8, seed=4))
+        perm = np.random.default_rng(1).permutation(e.rows)
+        a, b = (gpq_compress(m, PartitionScheme(kind, 8), c, seed=2, restarts=restarts)
+                for m in (e, emb(e.values[perm])))
+        assert np.array_equal(a.codebook_means, b.codebook_means)
+        assert np.array_equal(a.codebook_vars, b.codebook_vars)
+        assert np.array_equal(a.index_matrix[perm], b.index_matrix)
+        assert not repairs
 
     def test_cluster_count_errors(self, four_by_four):
         with pytest.raises(DataError, match="exceeds"):
