@@ -24,10 +24,15 @@ of two kernels, chosen from the point dimension d alone:
   the run mean (the pairwise update of Chan, Golub & LeVeque, 1979) to the
   squared deviations of its ends from the run mean, so no S2 - S1^2/n is
   ever formed. All runs are done at once, in O(m/B + c B), with no m-long
-  temporary. Labels reach input order, by looking each point's value up
-  among the runs' first values, only after the loop, or when a cluster is
-  empty (fewer distinct values than clusters), where the update runs as
-  for d > 1.
+  temporary. Labels reach input order only after the loop, or when a
+  cluster is empty (fewer distinct values than clusters), where the update
+  runs as for d > 1. A point takes the label of the last run whose first
+  value it reaches, read through a monotone bucket map b(x) = int((x -
+  xs[0]) * scale) of 2^14 buckets over [xs[0], xs[-1]]: a bucket that holds
+  no run start lies wholly between two starts, so its points share one
+  label, from a table; only points in a bucket that holds a start are
+  binary-searched among the starts. The labels are those of a search of
+  every point, and only they grow with m.
 - d > 1: argmin of ||c||^2 - 2 x.c over blocks of 2^20 // (8 c) points,
   about 1 MiB of float64 scores, so the block size follows from c alone
   and no temporary grows with m. "Nearest" means by that score in
@@ -82,6 +87,12 @@ DEFAULT_MAX_ITER = 100
 DEFAULT_REL_TOL = 1e-6
 _CHUNK_ROWS = 65536  # points per row-hash block and per d2 update pass of seeding
 _MASS_BLOCK = 4096  # points per d2 total of seeding, in canonical order
+# d == 1 label lookup: buckets of its table and values per pass. At 128k
+# points 2^16 buckets cost more to build than they save (1.7 against 1.1 ms),
+# and 2^12 sends too many values to the search at 16.4M (0.23 against 0.13
+# s in passes of 2^12); longer passes save little and cost memory.
+_BUCKETS = 2**14
+_LOOKUP_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -198,16 +209,56 @@ def _assign_sorted(xs: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, n
     return labels, np.concatenate(([0], np.maximum.accumulate(bounds), [xs.size]))
 
 
-def _value_labels(values: np.ndarray, xs: np.ndarray, labels: np.ndarray,
-                  edges: np.ndarray) -> np.ndarray:
-    """Labels of values, in their order, under the runs (labels, edges) that
-    _assign_sorted found in their ascending copy xs. Runs never split equal
-    values, so a value's run is the last one whose first value it reaches;
-    an empty run's first value is its successor's, or inf at the end."""
+def _run_starts(xs: np.ndarray, edges: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(xs[0], xs[-1], firsts) of the runs xs[edges[i]:edges[i + 1]] of
+    ascending xs: firsts[i] is the first value of run i + 1, an empty run's
+    first value its successor's, or inf at the end. All that _value_labels
+    reads of xs."""
     inner = edges[1:-1]
     firsts = np.where(inner < xs.size, xs[np.minimum(inner, xs.size - 1)], np.inf)
-    run = np.searchsorted(firsts, values, "right")
-    return np.take(labels, run, out=run, mode="clip")  # in place; every run < labels.size
+    return float(xs[0]), float(xs[-1]), firsts
+
+
+def _value_labels(values: np.ndarray, starts: tuple[float, float, np.ndarray],
+                  labels: np.ndarray) -> np.ndarray:
+    """Labels of values, in their order, under the runs (labels, edges) that
+    _assign_sorted found in their ascending copy xs, given starts =
+    _run_starts(xs, edges). Runs never split equal values, so a value's run
+    is the last one whose first value it reaches.
+
+    A value x is looked up by its bucket b(x) = min(int((x - xs[0]) * scale),
+    _BUCKETS), which is monotone (rounded subtraction, multiplication by
+    scale >= 0 and truncation of values >= 0 all are). So a run start in a
+    lower bucket is below x and one in a higher bucket above it, and a bucket
+    that holds no run start gives every value in it one label, from a table.
+    Only values in a bucket that holds a run start are searched among the
+    starts. A span of 0, one that overflows, or one too small for a finite
+    scale puts every value in bucket 0."""
+    lo, hi, firsts = starts
+    span = hi - lo  # Python floats overflow silently
+    scale = _BUCKETS / span if span > 0 else math.inf
+    if not 0 < scale < math.inf:  # span 0, overflowed or too small: one bucket
+        lo, scale = 0.0, 0.0
+    finite = firsts[firsts < np.inf]
+    held = np.minimum((finite - lo) * scale, _BUCKETS).astype(np.intp)
+    # buckets (held[i - 1], held[i]] lie in run i, but a bucket that holds a
+    # run start gets -1: its values are searched
+    table = np.repeat(labels[:finite.size + 1], np.diff(held, prepend=-1, append=_BUCKETS))
+    table[held] = -1
+    out = np.empty(values.size, dtype=np.intp)
+    for s in range(0, values.size, _LOOKUP_CHUNK):
+        v = values[s:s + _LOOKUP_CHUNK]
+        got = out[s:s + v.size]
+        t = np.subtract(v, lo, out=got.view(np.float64))
+        t *= scale
+        # in place, element by element: t truncates toward zero into got, and
+        # take's clip is the min with _BUCKETS
+        np.copyto(got, t, casting="unsafe")
+        np.take(table, got, out=got, mode="clip")
+        hit = np.flatnonzero(got < 0)
+        if hit.size:
+            got[hit] = labels[np.searchsorted(firsts, v[hit], "right")]
+    return out
 
 
 def _block_moments(xs: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -316,7 +367,8 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
             run_labels, edges = _assign_sorted(xs, centroids)
             counts = np.zeros(c, dtype=np.intp)
             counts[run_labels] = np.diff(edges)
-            labels = None if counts.all() else _value_labels(pts[:, 0], xs, run_labels, edges)
+            labels = None if counts.all() else _value_labels(
+                pts[:, 0], _run_starts(xs, edges), run_labels)
         else:
             labels = _assign_dense(pts, centroids)
             counts = np.bincount(labels, minlength=c)
@@ -340,7 +392,9 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
     if labels is None:
         variances = np.empty((c, 1))
         variances[run_labels, 0] = sse / np.diff(edges)
-        labels = _value_labels(pts[:, 0], xs, run_labels, edges)
+        starts = _run_starts(xs, edges)
+        del xs  # the sorted copy, m floats: the lookup reads only the run starts
+        labels = _value_labels(pts[:, 0], starts, run_labels)
     else:
         variances = _cluster_means(labels, sq_resid, counts)
     return ClusterResult(centroids, variances, labels, obj, it)

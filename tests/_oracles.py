@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: clustering by
 exhaustive assignment enumeration, the 1-D optimum by dynamic programming
 over the sorted values, nearest centroids by explicit differences,
-neighbors by a full cosine table, k-means++ seeding over the whole array at
+neighbors by a full cosine table, d = 1 labels by one binary search per
+value among the runs' first values, k-means++ seeding over the whole array at
 once (only the row hashes, the uniform stream and the mass block size are
 shared with the library), index bits through a count x bits shift table,
 word2vec text by one float() per value, top-k neighbours by a float64 table
@@ -208,6 +209,15 @@ def plain_lloyd(points, c: int, seed: int):
             break
         prev = obj
     return labels, centroids, obj, it, repairs
+
+
+def searchsorted_value_labels(values, xs, labels, edges) -> np.ndarray:
+    """Labels of values under the runs (labels, edges) of their ascending
+    copy xs, by a binary search of every value among the runs' first values
+    (an empty run's first value is its successor's, or inf at the end)."""
+    inner = edges[1:-1]
+    firsts = np.where(inner < xs.size, xs[np.minimum(inner, xs.size - 1)], np.inf)
+    return labels[np.searchsorted(firsts, values, "right")]
 
 
 def pack_indices(values: np.ndarray, bits: int) -> bytes:

@@ -11,7 +11,7 @@ import pytest
 
 import gpq
 from gpq import (EmbeddingMatrix, PartitionKind, PartitionScheme,
-                 ReconstructMode, codec, embio, gpq_compress, load_raw,
+                 ReconstructMode, cli, codec, embio, gpq_compress, load_raw,
                  quantizer, reconstruct)
 from gpq.cli import main
 from gpq.kmeans import _CHUNK_ROWS
@@ -360,6 +360,47 @@ def test_exit_code_usage_error(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: usage: gpq") and out.err.count("\n") == 1
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys, w2v_file):
+    # subcommands whose --format defaults differ (compress w2v, decompress
+    # raw), a usage error, and calls after it: one process's parser gives the
+    # exit codes, output and files of a parser built for each call
+    src = str(w2v_file[0])
+
+    def results(fresh):
+        work = tmp_path / ("fresh" if fresh else "reused")
+        work.mkdir()
+        c, out = work / "c.gpqe", work / "out.raw"
+        calls = [
+            ["compress", "--input", src, "-g", "4", "-c", "3", "-o", str(c)],
+            ["decompress", "--input", str(c), "-o", str(out)],
+            ["compress", "--input", src, "-g", "4"],
+            ["info", "--input", str(c), "--report", "json"],
+            ["compare", "--original", src, "--reconstructed", str(out), "--recon-format",
+             "raw", "--rows", "32", "--cols", "8", "--report", "json"],
+            ["compress", "--input", src, "-g", "2", "-c", "4", "-o", str(c), "--seed", "3"],
+            ["decompress", "--input", str(c), "-o", str(out), "--mode", "sample"],
+        ]
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            std = capsys.readouterr()
+            got.append((code, std.out, std.err, c.read_bytes(), out.read_bytes()
+                        if out.exists() else None))
+        return got
+
+    cli._parser.cache_clear()
+    reused = results(fresh=False)
+    assert cli._parser.cache_info().misses == 1
+    assert [r[0] for r in reused] == [0, 0, 2, 0, 0, 0, 0]
+    assert reused[2][2].startswith("error: usage: gpq compress:")
+    assert results(fresh=True) == reused
 
 
 def test_compress_deterministic(tmp_path, capsys, w2v_file):

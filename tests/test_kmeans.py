@@ -1,17 +1,21 @@
 import math
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gpq import DataError, kmeans, kmeans_best_of
-from gpq.kmeans import (_CHUNK_ROWS, _assign_dense, _assign_sorted, _block_moments, _canonical,
-                        _run_moments, _seed, _value_labels)
+from gpq.kmeans import (_BUCKETS, _CHUNK_ROWS, _LOOKUP_CHUNK, _assign_dense, _assign_sorted,
+                        _block_moments, _canonical, _run_moments, _run_starts, _seed,
+                        _value_labels)
 from gpq.rng import SplitMix64
 
 from _memory import traced_peak
 from _oracles import (brute_force_kmeans_objective, brute_force_nearest,
-                      brute_force_sorted_plus_plus, optimal_kmeans_1d_objective, plain_lloyd)
+                      brute_force_sorted_plus_plus, optimal_kmeans_1d_objective, plain_lloyd,
+                      searchsorted_value_labels)
 
 KMEANS = sys.modules[_seed.__module__]  # gpq.kmeans is also a function name
 
@@ -233,6 +237,19 @@ def test_sorted_kmeans_memory_bound():
     assert peak < 2.5 * m * 8
 
 
+def test_sorted_kmeans_frees_sorted_copy_before_labels(monkeypatch):
+    # the last lookup reads only the run starts, so it starts with less than
+    # the sorted copy (m floats) traced: at paper size 125 MiB of the peak
+    m = 4 * _CHUNK_ROWS
+    pts = np.random.default_rng(0).normal(size=(m, 1))
+    held = []
+    lookup = KMEANS._value_labels
+    monkeypatch.setattr(KMEANS, "_value_labels",
+                        lambda *a: held.append(tracemalloc.get_traced_memory()[0]) or lookup(*a))
+    traced_peak(kmeans, pts, 50, 1)
+    assert len(held) == 1 and held[0] < 0.5 * m * 8
+
+
 @pytest.mark.parametrize("case", ["blocks", "repair"])
 def test_sorted_kmeans_ignores_row_order(monkeypatch, case):
     # d = 1 means, variances and objective are those of runs of the sorted
@@ -357,7 +374,8 @@ def test_near_duplicate_rows(dtype, noise, d, seed):
 
 def sorted_nearest(pts, centroids):
     xs = np.sort(pts[:, 0])
-    return _value_labels(pts[:, 0], xs, *_assign_sorted(xs, centroids))
+    labels, edges = _assign_sorted(xs, centroids)
+    return _value_labels(pts[:, 0], _run_starts(xs, edges), labels)
 
 
 @pytest.mark.parametrize("pts,centroids", [
@@ -389,6 +407,92 @@ def test_sorted_assignment_matches_brute_force(trial):
         centroids = rng.integers(-3, 4, size=(c, 1)).astype(np.float64)
     assert np.array_equal(sorted_nearest(pts, centroids),
                           brute_force_nearest(pts, centroids))
+
+
+def lookup_case(kind, buckets):
+    """(values, cuts) of one label-lookup case: the values in input order,
+    and the values at which runs start (see runs_from_cuts)."""
+    rng = np.random.default_rng(len(kind))
+    if kind == "bucket_edges":
+        # xs[0] = 0 and xs[-1] = buckets give scale 1: every integer is a
+        # bucket edge, and its neighbours one ulp away lie on either side
+        grid = np.arange(buckets + 1.0)
+        values = np.concatenate([grid, np.nextafter(grid, -1.0)[1:],
+                                 np.nextafter(grid, np.inf)[:-1]])
+        cuts = np.concatenate([rng.choice(values, 40), rng.choice(grid, 20)])
+    elif kind == "run_starts":
+        values = rng.integers(0, 30, 500) * 0.3
+        cuts = rng.choice(values, 12)
+    elif kind == "empty_runs":
+        values = rng.normal(size=300)
+        # repeated starts, one below every value, and starts above them all,
+        # whose first value is inf
+        cuts = [-9.0, 0.1, 0.1, 0.1, 0.5, 9.0, 9.0]
+    elif kind == "zero_span":
+        values, cuts = np.full(50, 2.5), [2.5, 3.0]
+    elif kind == "signed_zero":
+        values = rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5], 200)
+        cuts = [-0.0, 0.0, 0.5, 0.5]
+    elif kind == "subnormal":
+        values = rng.integers(0, 50, 300) * 5e-324
+        cuts = [1e-322, 2e-322, 2e-322]
+    elif kind == "subnormal_normal_span":
+        values = np.concatenate([rng.integers(0, 50, 300) * 5e-324, [1.0, -1.0]])
+        cuts = [0.0, 5e-324, 1e-322, 1.0]
+    elif kind == "overflowing_span":
+        values = np.concatenate([[-1e308, 1e308], rng.uniform(-1.0, 1.0, 300) * 1e308])
+        cuts = [-1e308, -1e307, 0.0, 5e307, 1e308]
+    elif kind == "largest_finite_span":
+        # xs[-1] - xs[0] is finite, just below the largest float64
+        values = np.concatenate([[-1e308, 7.9e307], rng.uniform(-1.0, 0.79, 300) * 1e308])
+        cuts = [-1e308, 0.0, 7e307]
+    elif kind == "one_cluster":
+        values, cuts = rng.normal(size=100), []
+    else:  # "chunks": many values, starts scattered over chunk boundaries
+        values = rng.normal(size=5000)
+        cuts = np.sort(rng.normal(size=49))
+    return rng.permutation(np.asarray(values, dtype=np.float64)), np.sort(cuts)
+
+
+def runs_from_cuts(xs, cuts, rng):
+    """(labels, edges) as _assign_sorted gives them: run i + 1 starts at the
+    first value of ascending xs that reaches cuts[i], so equal values share a
+    run; labels are distinct, in a random order."""
+    edges = np.concatenate(([0], np.searchsorted(xs, cuts, "left"), [xs.size]))
+    return rng.permutation(edges.size - 1), edges
+
+
+@pytest.mark.parametrize("buckets", [None, 4], ids=["buckets_default", "buckets4"])
+@pytest.mark.parametrize("chunk", [None, 1, 3], ids=["chunk_default", "chunk1", "chunk3"])
+@pytest.mark.parametrize("kind", ["bucket_edges", "run_starts", "empty_runs", "zero_span",
+                                  "signed_zero", "subnormal", "subnormal_normal_span",
+                                  "overflowing_span", "largest_finite_span", "one_cluster",
+                                  "chunks"])
+def test_value_labels_match_searchsorted(monkeypatch, kind, buckets, chunk):
+    if buckets is not None:
+        monkeypatch.setattr(KMEANS, "_BUCKETS", buckets)
+    if chunk is not None:
+        monkeypatch.setattr(KMEANS, "_LOOKUP_CHUNK", chunk)
+    values, cuts = lookup_case(kind, KMEANS._BUCKETS)
+    xs = np.sort(values)
+    labels, edges = runs_from_cuts(xs, cuts, np.random.default_rng(7))
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _value_labels(values, _run_starts(xs, edges), labels)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, searchsorted_value_labels(values, xs, labels, edges))
+
+
+def test_value_labels_memory_bound():
+    # one pass of _LOOKUP_CHUNK values at a time, each computed in its own
+    # slice of the m-long intp labels: beside them, only the table and a
+    # pass's mask of searched values
+    m = 4 * _CHUNK_ROWS
+    values = np.random.default_rng(3).normal(size=m)
+    xs = np.sort(values)
+    labels, edges = _assign_sorted(xs, np.quantile(xs, np.linspace(0, 1, 50))[:, None])
+    peak = traced_peak(_value_labels, values, _run_starts(xs, edges), labels)
+    assert peak < 8 * m + 8 * (_BUCKETS + 1) + 8 * _LOOKUP_CHUNK
 
 
 @pytest.mark.parametrize("ties", [False, True])
