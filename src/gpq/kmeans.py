@@ -342,8 +342,8 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
     (d > 1, or an empty cluster at d == 1), repaired and updated with
     sq_resid, each point's squared residual per dimension."""
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise DataError(f"points must be 2-D, got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise DataError(f"points must be 2-D with a dimension, got shape {pts.shape}")
     m, d = pts.shape
     if c < 1:
         raise DataError("cluster count must be >= 1")

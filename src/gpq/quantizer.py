@@ -46,7 +46,9 @@ class PartitionScheme:
     @property
     def blocks(self) -> int:
         """Number of codebooks: one per group if structured, one shared
-        by all groups if unified. Group i reads codebook i // (groups // blocks)."""
+        by all groups if unified. The matrix and its index are both read
+        as (rows, blocks, groups // blocks) groups, and block b of either
+        goes to codebook b."""
         return self.groups if self.kind is PartitionKind.STRUCTURED else 1
 
     def check_divides(self, cols: int) -> None:
@@ -154,12 +156,10 @@ def index_bit_width(clusters: int) -> int:
 
 def partition(e: EmbeddingMatrix, scheme: PartitionScheme) -> np.ndarray:
     """Split the matrix into a view of shape (blocks, groups // blocks
-    * rows, n/g): block b holds the sub-vectors of the groups it serves
-    in the matrix's own row-major order, so sub-vector j of row r is
-    entry r * (groups // blocks) + j.
-
-    Structured: one block per group. Unified: a single block holding all
-    g groups, row by row. Neither copies a row-major matrix.
+    * rows, n/g) in its own row-major order: in block b (see
+    PartitionScheme.blocks), sub-vector j of row r is entry
+    r * (groups // blocks) + j, and its label the index's entry (r, b, j).
+    Neither scheme copies a row-major matrix.
     """
     scheme.check_divides(e.cols)
     return (e.values.reshape(e.rows, scheme.blocks, -1).transpose(1, 0, 2)
@@ -169,17 +169,18 @@ def partition(e: EmbeddingMatrix, scheme: PartitionScheme) -> np.ndarray:
 def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
               restarts: int, with_vars: bool) -> QuantizedEmbedding:
     compute_size_report(e.rows, e.cols, scheme, c, with_vars)  # checks c and g up front
-    g, blocks = scheme.groups, scheme.blocks
-    per = g // blocks  # groups served by each block
-    if c > per * e.rows:
-        raise DataError(f"cluster count {c} exceeds {per * e.rows} sub-vectors per codebook")
-    index = np.empty((e.rows, g), dtype=np.uint32)
-    means = np.empty((blocks, c, e.cols // g), dtype=np.float32)
+    if not 0 <= seed < 2**64:
+        raise DataError(f"seed {seed} does not fit the header's 64 bits")
+    blocks = partition(e, scheme)
+    if c > blocks.shape[1]:
+        raise DataError(f"cluster count {c} exceeds {blocks.shape[1]} sub-vectors per codebook")
+    index = np.empty((e.rows, scheme.groups), dtype=np.uint32)
+    means = np.empty((len(blocks), c, blocks.shape[2]), dtype=np.float32)
     vars_ = np.empty_like(means) if with_vars else None
 
-    for b, block in enumerate(partition(e, scheme)):
+    for b, block in enumerate(blocks):
         res = kmeans_best_of(block, c, derive_seed(seed, b), restarts)
-        index[:, b * per:(b + 1) * per] = res.assignments.reshape(e.rows, per)
+        index.reshape(e.rows, len(blocks), -1)[:, b] = res.assignments.reshape(e.rows, -1)
         # a variance beyond binary32 range casts to inf, which
         # QuantizedEmbedding rejects
         with np.errstate(over="ignore"):
@@ -220,9 +221,9 @@ def reconstruct(q: QuantizedEmbedding, mode: ReconstructMode = ReconstructMode.M
     else:
         book = q.codebook_means
 
-    g = q.scheme.groups
-    codebook_of_group = np.arange(g) // (g // q.scheme.blocks)
-    return EmbeddingMatrix(book[codebook_of_group, q.index_matrix].reshape(q.rows, q.cols))
+    blocks = q.scheme.blocks
+    index = q.index_matrix.reshape(q.rows, blocks, -1)  # column block b reads codebook b
+    return EmbeddingMatrix(book[np.arange(blocks)[:, None], index].reshape(q.rows, q.cols))
 
 
 def compute_size_report(rows: int, cols: int, scheme: PartitionScheme,

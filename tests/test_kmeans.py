@@ -161,6 +161,7 @@ def test_more_clusters_than_distinct_points():
     lambda: kmeans(np.array([[np.inf]]), 1, seed=0),
     lambda: kmeans_best_of(np.zeros((2, 1)), 1, seed=0, restarts=0),
     lambda: kmeans(np.zeros(3), 1, seed=0),
+    lambda: kmeans(np.zeros((5, 0)), 1, seed=0),
 ])
 def test_errors(bad):
     with pytest.raises(DataError):

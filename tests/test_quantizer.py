@@ -5,8 +5,8 @@ import pytest
 
 from _memory import traced_peak
 from gpq import (DataError, EmbeddingMatrix, PartitionKind, PartitionScheme,
-                 ReconstructMode, RweConfig, codec, gpq_compress, partition, pq_compress,
-                 reconstruct, rwe_generate, size_report)
+                 QuantizedEmbedding, ReconstructMode, RweConfig, codec, gpq_compress,
+                 partition, pq_compress, quantizer, reconstruct, rwe_generate, size_report)
 
 STRUCT = PartitionKind.STRUCTURED
 UNIFIED = PartitionKind.UNIFIED
@@ -142,6 +142,15 @@ class TestCompress:
         pq_compress(four_by_four, PartitionScheme(UNIFIED, 2), 8, seed=0)
 
     @pytest.mark.parametrize("fn", [pq_compress, gpq_compress])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_before_clustering(self, monkeypatch, four_by_four, fn, seed):
+        calls = []
+        monkeypatch.setattr(quantizer, "kmeans_best_of", lambda *a: calls.append(a))
+        with pytest.raises(DataError, match="64 bits"):
+            fn(four_by_four, PartitionScheme(STRUCT, 4), 2, seed=seed)
+        assert not calls
+
+    @pytest.mark.parametrize("fn", [pq_compress, gpq_compress])
     def test_container_round_trip_with_vocab(self, fn):
         rng = np.random.default_rng(9)
         e = emb(rng.normal(size=(6, 4)), ["a", "b", "c", "d", "e", "f"])
@@ -162,6 +171,37 @@ class TestReconstruct:
             obj = sum(kmeans_best_of(b, 5, derive_seed(2, i), 2).objective
                       for i, b in enumerate(partition(e, q.scheme)))
             assert frob == pytest.approx(obj, rel=1e-5)
+
+    @pytest.mark.parametrize("kind", [STRUCT, UNIFIED])
+    @pytest.mark.parametrize("g", [1, 2, 8])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_mean_lookup_matches_oracle(self, kind, g, d, c):
+        # entry by entry: group j of row r reads codebook j // (g // blocks)
+        # at its index; c = 1 goes through a container, whose decoded index
+        # is a broadcast view of one zero
+        e = emb(np.random.default_rng([g, d]).normal(size=(10, g * d)))
+        q = pq_compress(e, PartitionScheme(kind, g), c, seed=g)
+        if c == 1:
+            q = codec.decode(codec.encode(q))
+            assert q.index_matrix.strides == (0, 0)
+        per = g // q.scheme.blocks
+        want = np.empty((10, g, d), dtype=np.float32)
+        for r in range(10):
+            for j in range(g):
+                want[r, j] = q.codebook_means[j // per, q.index_matrix[r, j]]
+        assert np.array_equal(reconstruct(q).values, want.reshape(10, g * d))
+
+    @pytest.mark.parametrize("kind", [STRUCT, UNIFIED])
+    def test_memory_bounded_by_output(self, kind):
+        # 4000 x 256 at g = 256: 1M index entries and a 3.91 MiB output;
+        # the gather makes no copy of the whole index
+        rng = np.random.default_rng(0)
+        scheme = PartitionScheme(kind, 256)
+        q = QuantizedEmbedding(scheme, rng.integers(0, 50, size=(4000, 256), dtype=np.uint32),
+                               rng.normal(size=(scheme.blocks, 50, 1)).astype(np.float32),
+                               None, seed=0)
+        assert traced_peak(reconstruct, q) < 1.5 * 4000 * 256 * 4
 
     def test_sample_zero_variance_equals_mean(self, four_by_four):
         q = gpq_compress(four_by_four, PartitionScheme(STRUCT, 2), 2, seed=0, restarts=4)
