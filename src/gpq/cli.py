@@ -65,15 +65,15 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _quantize(e, method: str, scheme: PartitionScheme, c: int, seed: int, restarts: int):
-    compress = quantizer.gpq_compress if method == "gpq" else quantizer.pq_compress
-    return compress(e, scheme, c, seed, restarts)
+def _quantize(e, args, g: int, c: int):
+    """e compressed by args.method on an args.scheme partition, g groups, c clusters."""
+    compress = quantizer.gpq_compress if args.method == "gpq" else quantizer.pq_compress
+    return compress(e, PartitionScheme(PartitionKind(args.scheme), g), c, args.seed, args.restarts)
 
 
-def cmd_compress(args) -> int:
+def cmd_compress(args):
     e = _load_embedding(args.input, args.format, args.rows, args.cols)
-    q = _quantize(e, args.method, PartitionScheme(PartitionKind(args.scheme), args.groups),
-                  args.clusters, args.seed, args.restarts)
+    q = _quantize(e, args, args.groups, args.clusters)
     data = codec.encode(q)
     with open(args.output, "wb") as f:
         f.write(data)
@@ -81,18 +81,16 @@ def cmd_compress(args) -> int:
                    "container_bytes": len(data),
                    "header_and_crc_bytes": len(data) - codec.payload_length(data)},
                   args.report)
-    return EXIT_OK
 
 
-def cmd_decompress(args) -> int:
+def cmd_decompress(args):
     with open(args.input, "rb") as f:
         q = codec.decode(f.read())
     e = quantizer.reconstruct(q, ReconstructMode(args.mode), args.seed)
     _save_embedding(e, args.output, args.format, args.vocab)
-    return EXIT_OK
 
 
-def cmd_info(args) -> int:
+def cmd_info(args):
     with open(args.input, "rb") as f:
         q = codec.decode(f.read())
     report = {
@@ -108,10 +106,9 @@ def cmd_info(args) -> int:
         "size": dataclasses.asdict(quantizer.size_report(q)),
     }
     _print_report(report, args.report)
-    return EXIT_OK
 
 
-def cmd_rwe(args) -> int:
+def cmd_rwe(args):
     if args.projection_output is not None and args.projection_dim is None:
         args.usage_error("argument --projection-output: requires --projection-dim")
     cfg = rwe.RweConfig(args.rows, args.cols, args.seed, args.projection_dim)
@@ -125,25 +122,23 @@ def cmd_rwe(args) -> int:
         with open(args.projection_output or args.output + ".proj", "wb") as f:
             f.write(proj)
     _print_report(rwe.rwe_param_counts(cfg), args.report)
-    return EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args):
     a = _load_embedding(args.original, args.format, args.rows, args.cols)
     b = _load_embedding(args.reconstructed, args.recon_format or args.format,
                         args.rows, args.cols)
     _print_report(dataclasses.asdict(metrics.fidelity(a, b, args.k)), args.report)
-    return EXIT_OK
 
 
-def _sweep_one(e, method, scheme_kind, g, c, seed, restarts, k):
-    q = _quantize(e, method, PartitionScheme(scheme_kind, g), c, seed, restarts)
-    rep = metrics.fidelity(e, quantizer.reconstruct(q), k)
+def _sweep_one(e, args, g: int, c: int):
+    q = _quantize(e, args, g, c)
+    rep = metrics.fidelity(e, quantizer.reconstruct(q), args.k)
     return {"groups": g, "clusters": c, **dataclasses.asdict(rep),
             "size": dataclasses.asdict(quantizer.size_report(q))}
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     e = _load_embedding(args.input, args.format, args.rows, args.cols)
     configs = []
     for spec_str in args.config:
@@ -152,11 +147,7 @@ def cmd_sweep(args) -> int:
             configs.append((int(g_str), int(c_str)))
         except ValueError:
             raise DataError(f"bad --config {spec_str!r}, expected G:C") from None
-    kind = PartitionKind(args.scheme)
-    results = [_sweep_one(e, args.method, kind, g, c, args.seed, args.restarts, args.k)
-               for g, c in configs]
-    _print_report(results, "json")
-    return EXIT_OK
+    _print_report([_sweep_one(e, args, g, c) for g, c in configs], "json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,63 +166,64 @@ def _add_embedding_input(p, name="--input"):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # options that mean the same in every command that takes them
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=0)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", choices=["text", "json"], default="text")
+    quantize = argparse.ArgumentParser(add_help=False, parents=[seed])
+    quantize.add_argument("--method", choices=["pq", "gpq"], default="gpq")
+    quantize.add_argument("--scheme", choices=["structured", "unified"], default="unified")
+    quantize.add_argument("--restarts", type=int, default=1)
+
     parser = _Parser(prog="gpq",
                      description="Embedding compression with (Gaussian) product quantization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compress", help="quantize an embedding file into a GPQE container")
+    p = sub.add_parser("compress", parents=[quantize, report],
+                       help="quantize an embedding file into a GPQE container")
     _add_embedding_input(p)
-    p.add_argument("--method", choices=["pq", "gpq"], default="gpq")
-    p.add_argument("--scheme", choices=["structured", "unified"], default="unified")
     p.add_argument("-g", "--groups", type=int, required=True)
     p.add_argument("-c", "--clusters", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--restarts", type=int, default=1)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--report", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("decompress", help="reconstruct an embedding file from a container")
+    p = sub.add_parser("decompress", parents=[seed],
+                       help="reconstruct an embedding file from a container")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["mean", "sample"], default="mean")
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--format", choices=["w2v", "raw"], default="raw")
     p.add_argument("--vocab", help="token file for w2v output")
     p.set_defaults(func=cmd_decompress)
 
-    p = sub.add_parser("info", help="print container header and size report")
+    p = sub.add_parser("info", parents=[report], help="print container header and size report")
     p.add_argument("--input", required=True)
-    p.add_argument("--report", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("rwe", help="generate random row-normalized embeddings")
+    p = sub.add_parser("rwe", parents=[seed, report],
+                       help="generate random row-normalized embeddings")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--projection-dim", type=int)
     p.add_argument("--projection-output")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--report", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_rwe, usage_error=p.error)
 
-    p = sub.add_parser("compare", help="fidelity metrics between two embedding files")
+    p = sub.add_parser("compare", parents=[report],
+                       help="fidelity metrics between two embedding files")
     _add_embedding_input(p, "--original")
     p.add_argument("--reconstructed", required=True)
     p.add_argument("--recon-format", choices=["w2v", "raw"],
                    help="format of the reconstructed file if it differs")
     p.add_argument("-k", type=int, default=10)
-    p.add_argument("--report", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep", help="compress/evaluate a list of (groups, clusters) configs")
+    p = sub.add_parser("sweep", parents=[quantize],
+                       help="compress/evaluate a list of (groups, clusters) configs")
     _add_embedding_input(p)
-    p.add_argument("--method", choices=["pq", "gpq"], default="gpq")
-    p.add_argument("--scheme", choices=["structured", "unified"], default="unified")
     p.add_argument("--config", action="append", required=True,
                    help="G:C pair; repeatable")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--restarts", type=int, default=1)
     p.add_argument("-k", type=int, default=5)
     p.set_defaults(func=cmd_sweep)
 
@@ -246,7 +238,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except FormatError as exc:
         print(f"error: format: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -19,7 +19,7 @@ import numpy as np
 from .embio import EmbeddingMatrix
 from .errors import DataError
 from .kmeans import kmeans_best_of
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, check_seed, derive_seed
 
 FLOAT_BITS = 32  # bit width of one stored floating-point parameter
 
@@ -104,8 +104,7 @@ class QuantizedEmbedding:
                 raise DataError("non-finite variance in codebook")
             if np.any(self.codebook_vars < 0):
                 raise DataError("negative variance in codebook")
-        if not 0 <= self.seed < 2**64:
-            raise DataError(f"seed {self.seed} does not fit the header's 64 bits")
+        check_seed(self.seed)
 
     @property
     def rows(self) -> int:
@@ -169,8 +168,7 @@ def partition(e: EmbeddingMatrix, scheme: PartitionScheme) -> np.ndarray:
 def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
               restarts: int, with_vars: bool) -> QuantizedEmbedding:
     compute_size_report(e.rows, e.cols, scheme, c, with_vars)  # checks c and g up front
-    if not 0 <= seed < 2**64:
-        raise DataError(f"seed {seed} does not fit the header's 64 bits")
+    check_seed(seed)
     blocks = partition(e, scheme)
     if c > blocks.shape[1]:
         raise DataError(f"cluster count {c} exceeds {blocks.shape[1]} sub-vectors per codebook")
@@ -214,7 +212,7 @@ def reconstruct(q: QuantizedEmbedding, mode: ReconstructMode = ReconstructMode.M
     if mode is ReconstructMode.SAMPLE:
         if q.codebook_vars is None:
             raise DataError("sample mode requires a variance table")
-        rng = SplitMix64(seed)
+        rng = SplitMix64(check_seed(seed))
         z = rng.normals(q.codebook_means.size).reshape(q.codebook_means.shape)
         book = (q.codebook_means.astype(np.float64)
                 + np.sqrt(q.codebook_vars.astype(np.float64)) * z).astype(np.float32)

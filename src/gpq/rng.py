@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DataError
+
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -29,6 +31,14 @@ def mix64(x):
         z *= _MIX2
         z ^= z >> np.uint64(31)
         return z
+
+
+def check_seed(seed: int) -> int:
+    """seed, if it is in [0, 2**64); else a DataError, as a stream takes its
+    seed mod 2**64 and would alias one in range."""
+    if not 0 <= seed < 2**64:
+        raise DataError(f"seed {seed} does not fit unsigned 64 bits")
+    return seed
 
 
 def derive_seed(seed: int, *parts: int) -> int:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .embio import EmbeddingMatrix
 from .errors import DataError
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, check_seed, derive_seed
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,7 @@ class RweConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise DataError(f"invalid shape {self.rows}x{self.cols}")
+        check_seed(self.seed)
         if self.projection_dim is not None and self.projection_dim < 1:
             raise DataError("projection_dim must be >= 1")
         for n, m in ((self.rows, self.cols), (self.cols, self.projection_dim or 1)):
@@ -50,7 +51,7 @@ def projection_init(n: int, m: int, seed: int) -> np.ndarray:
     if n < 1 or m < 1:
         raise DataError("projection dimensions must be >= 1")
     bound = math.sqrt(6.0 / (n + m))
-    rng = SplitMix64(derive_seed(seed, n, m))
+    rng = SplitMix64(derive_seed(check_seed(seed), n, m))
     u = rng.uniforms(n * m).reshape(n, m)
     return ((2.0 * u - 1.0) * bound).astype(np.float32)
 

@@ -343,6 +343,47 @@ def test_seed_outside_64_bits_is_usage_error(tmp_path, capsys, w2v_file, seed):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("argv", [
+    ["compress", "--input", "emb", "-g", "4", "-c", "3"],
+    ["decompress", "--input", "emb"],
+    ["rwe", "--rows", "4", "--cols", "4"],
+    ["sweep", "--input", "emb", "--config", "4:3"],
+], ids=lambda argv: argv[0])
+def test_every_seed_option_is_checked(tmp_path, capsys, argv, seed):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", seed] + (["-o", str(out)] if argv[0] != "sweep" else []))
+    assert exc.value.code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: usage: gpq {argv[0]}: argument --seed")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method,scheme", [("gpq", "unified"), ("pq", "structured")])
+def test_sweep_equals_compress_decompress_compare(tmp_path, capsys, w2v_file, method, scheme):
+    src, _ = w2v_file
+    container, recon = tmp_path / "c.gpqe", tmp_path / "r.raw"
+    shared = ["--input", str(src), "--method", method, "--scheme", scheme,
+              "--seed", "5", "--restarts", "3"]  # 3 restarts beat 1 here, on both schemes
+    code, stdout, _ = run(capsys, "sweep", *shared, "--config", "2:6", "-k", "4")
+    assert code == 0
+    [swept] = json.loads(stdout)
+    code, stdout, _ = run(capsys, "compress", *shared, "-g", "2", "-c", "6",
+                          "-o", str(container), "--report", "json")
+    assert code == 0
+    size = json.loads(stdout)
+    assert swept["size"] == {k: size[k] for k in swept["size"]}
+    assert run(capsys, "decompress", "--input", str(container), "-o", str(recon))[0] == 0
+    code, stdout, _ = run(capsys, "compare", "--original", str(src), "--reconstructed", str(recon),
+                          "--recon-format", "raw", "--rows", "32", "--cols", "8", "-k", "4",
+                          "--report", "json")
+    assert code == 0
+    compared = json.loads(stdout)
+    assert {k: swept[k] for k in compared} == compared
+
+
 def test_exit_code_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.gpqe"
     bad.write_bytes(b"not a container")

@@ -172,6 +172,13 @@ class TestReconstruct:
                       for i, b in enumerate(partition(e, q.scheme)))
             assert frob == pytest.approx(obj, rel=1e-5)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_sample_seed_outside_64_bits(self, four_by_four, seed):
+        q = gpq_compress(four_by_four, PartitionScheme(STRUCT, 2), 2, seed=0)
+        with pytest.raises(DataError, match="64 bits"):
+            reconstruct(q, ReconstructMode.SAMPLE, seed=seed)
+        reconstruct(q, ReconstructMode.SAMPLE, seed=2**64 - 1)
+
     @pytest.mark.parametrize("kind", [STRUCT, UNIFIED])
     @pytest.mark.parametrize("g", [1, 2, 8])
     @pytest.mark.parametrize("d", [1, 3])

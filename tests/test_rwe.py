@@ -87,6 +87,18 @@ def test_zero_row_resampled(monkeypatch):
     assert np.array_equal(got, (s / np.linalg.norm(s, axis=1)[:, None]).astype(np.float32))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_data_error(seed):
+    # a stream takes its seed mod 2**64, so these would alias 2**64 - 1 and 0
+    with pytest.raises(DataError, match="64 bits"):
+        RweConfig(4, 4, seed)
+    with pytest.raises(DataError, match="64 bits"):
+        projection_init(4, 4, seed)
+    last = 2**64 - 1
+    assert rwe_generate(RweConfig(4, 4, last)).values.shape == (4, 4)
+    assert projection_init(4, 4, last).shape == (4, 4)
+
+
 @pytest.mark.parametrize("rows,cols,pdim", [(0, 4, None), (4, 0, None), (4, 4, 0)])
 def test_config_validation(rows, cols, pdim):
     with pytest.raises(DataError):
