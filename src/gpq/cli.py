@@ -151,7 +151,11 @@ def cmd_sweep(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one line on stderr and exits 2."""
+    """Takes options only by their full names, and reports a usage error as
+    one line on stderr and exits 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         line = " ".join(message.splitlines())

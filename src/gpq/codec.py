@@ -12,12 +12,11 @@ exactly storable_bits/8 bytes.
 from __future__ import annotations
 
 import struct
-import sys
 import zlib
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, check_nbytes
 from .quantizer import (FLOAT_BITS, PartitionKind, PartitionScheme, QuantizedEmbedding,
                         compute_size_report, index_bit_width)
 
@@ -104,8 +103,7 @@ def decode(data: bytes) -> QuantizedEmbedding:
         if zlib.crc32(memoryview(data)[:-4]) != struct.unpack_from("<I", data, expected - 4)[0]:
             raise FormatError("CRC mismatch")
         # a c = 1 container stores no index bits, so its length does not bound rows
-        if rows * groups * 4 > sys.maxsize:
-            raise FormatError(f"index matrix of {rows} x {groups} entries is not addressable")
+        check_nbytes(4 * rows * groups, f"an index matrix of {rows} x {groups} entries")
         pad = -(rows * groups * index_bit_width(clusters)) % 8
         if data[-5] & ((1 << pad) - 1):
             raise FormatError("non-zero padding bits after the index section")

@@ -6,11 +6,13 @@ little-endian binary32, row-major.
 
 Word2vec text is UTF-8; fields are separated by any Unicode whitespace and
 values take Python float() syntax, rounded to binary32. The loader reads
-the file a chunk of rows at a time, never all of it, and parses a chunk's
-values with numpy's C parser, which rounds as float() does. A chunk that
-parser refuses, or whose values are not finite, is parsed again one
-float() per value, so the accepted files, the values and the first error
-reported are those of a plain per-value parse.
+the file a chunk of rows at a time, never all of it. Each chunk has one
+fast path: numpy's C parser takes all of its values in one call, rounding
+as float() does. A chunk that path does not take whole (unparseable text,
+a wrong shape, a repeated token, a non-finite value) goes to the one
+per-row parse, one float() per value, which reports every row error. So
+the accepted files, the values and the first error reported are those of
+a plain per-value parse.
 """
 
 from __future__ import annotations
@@ -88,11 +90,8 @@ def load_word2vec_text(source: BinaryIO) -> EmbeddingMatrix:
     """Parse the word2vec text format into an EmbeddingMatrix."""
     # an undecodable byte cannot be part of the two integers: it fails below
     header = source.readline().decode("utf-8", errors="replace").strip()
-    parts = header.split()
-    if len(parts) != 2:
-        raise DataError(f"malformed header: {header!r}")
     try:
-        count, dim = int(parts[0]), int(parts[1])
+        count, dim = map(int, header.split())
     except ValueError:
         raise DataError(f"malformed header: {header!r}") from None
     if count < 1 or dim < 1:
@@ -122,37 +121,26 @@ def _read_chunk(source: BinaryIO, first: int, n: int, count: int, dim: int,
 
     The values go through numpy's C parser in one call. It refuses some
     syntax float() takes (underscores, non-ASCII digits, a bare CR between
-    values), so a chunk it does not parse into finite (n, dim) values takes
-    the per-row parse.
+    values), so a chunk that does not split and parse into finite (n, dim)
+    values under n new tokens takes the per-row parse, which reports the
+    first bad row.
     """
-    lines: list[bytes] = []
-    tokens: list[str] = []
-    texts: list[str] = []
-    for _ in range(n):
-        lines.append(source.readline())
-        try:
-            fields = lines[-1].decode("utf-8").strip().split(None, 1)
-        except UnicodeDecodeError:
-            break
-        if len(fields) != 2:  # blank, past the end, or a token alone
-            break
-        tokens.append(fields[0])
-        texts.append(fields[1])
-    else:
+    lines = [source.readline() for _ in range(n)]
+    try:
+        # a blank line or a token alone has no second field: IndexError
+        fields = [line.decode("utf-8").strip().split(None, 1) for line in lines]
+        tokens = [f[0] for f in fields]
+        values = np.loadtxt([f[1] for f in fields], dtype=np.float64, comments=None, ndmin=2)
+        # beyond binary32 range casts to inf, which the per-row parse reports
+        with np.errstate(over="ignore"):
+            values = values.astype(np.float32)
         new = set(tokens)
-        if len(new) == n and seen.isdisjoint(new):
-            try:
-                values = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
-            except ValueError:
-                values = None
-            if values is not None and values.shape == (n, dim):
-                # beyond binary32 range casts to inf, which the per-row parse reports
-                with np.errstate(over="ignore"):
-                    values = values.astype(np.float32)
-                if np.isfinite(values).all():
-                    seen |= new
-                    return tokens, values
-    # after a break the last line is bad, so this raises
+        if (values.shape == (n, dim) and len(new) == n and seen.isdisjoint(new)
+                and np.isfinite(values).all()):
+            seen |= new
+            return tokens, values
+    except (ValueError, IndexError):  # UnicodeDecodeError is a ValueError
+        pass
     return _parse_rows(lines, first, count, dim, seen)
 
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one array-size
+check."""
+
+import sys
 
 
 class GpqError(Exception):
@@ -13,3 +16,11 @@ class DataError(GpqError):
 class FormatError(GpqError):
     """Malformed GPQE container: bad magic/version, CRC mismatch,
     truncated stream, out-of-range indices."""
+
+
+def check_nbytes(nbytes: int, what: str) -> None:
+    """DataError if an array of nbytes is larger than numpy can address:
+    numpy refuses one with more bytes than the largest intp with a
+    ValueError, before it allocates anything."""
+    if nbytes > sys.maxsize:
+        raise DataError(f"{what} takes {nbytes} bytes, more than numpy can address")

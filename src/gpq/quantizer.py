@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingMatrix
-from .errors import DataError
+from .errors import DataError, check_nbytes
 from .kmeans import kmeans_best_of
 from .rng import SplitMix64, check_seed, derive_seed
 
@@ -209,6 +209,7 @@ def reconstruct(q: QuantizedEmbedding, mode: ReconstructMode = ReconstructMode.M
     draws one codebook with every entry ~ Normal(mean, variance) from the
     given seed, then looks up as in MEAN mode.
     """
+    check_nbytes(4 * q.rows * q.cols, f"a {q.rows}x{q.cols} float32 matrix")
     if mode is ReconstructMode.SAMPLE:
         if q.codebook_vars is None:
             raise DataError("sample mode requires a variance table")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embio import EmbeddingMatrix
-from .errors import DataError
+from .errors import DataError, check_nbytes
 from .rng import SplitMix64, check_seed, derive_seed
 
 
@@ -26,9 +26,9 @@ class RweConfig:
         check_seed(self.seed)
         if self.projection_dim is not None and self.projection_dim < 1:
             raise DataError("projection_dim must be >= 1")
+        # at most n*m + 1 float64 values each: normals() draws an even count
         for n, m in ((self.rows, self.cols), (self.cols, self.projection_dim or 1)):
-            if n * m > np.iinfo(np.intp).max:
-                raise DataError(f"a {n}x{m} matrix has more elements than numpy can index")
+            check_nbytes(8 * (n * m + 1), f"a {n}x{m} float64 matrix")
 
 
 def rwe_generate(cfg: RweConfig) -> EmbeddingMatrix:
@@ -50,6 +50,7 @@ def projection_init(n: int, m: int, seed: int) -> np.ndarray:
     trainers; not trained here."""
     if n < 1 or m < 1:
         raise DataError("projection dimensions must be >= 1")
+    check_nbytes(8 * n * m, f"a {n}x{m} float64 matrix")
     bound = math.sqrt(6.0 / (n + m))
     rng = SplitMix64(derive_seed(check_seed(seed), n, m))
     u = rng.uniforms(n * m).reshape(n, m)

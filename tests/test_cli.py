@@ -170,6 +170,45 @@ def test_rwe_too_large_is_data_error(tmp_path, capsys, size):
     assert err.startswith("error: data:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["rwe", "--rows", str(2**31), "--cols", str(2**31)],
+    ["rwe", "--rows", "4", "--cols", "4", "--projection-dim", str(2**60)],
+    ["decompress", "--input", "big.gpqe"],
+], ids=["rwe", "projection", "decompress"])
+def test_array_beyond_numpy_bytes_is_data_error(tmp_path, capsys, monkeypatch, argv):
+    # each largest array has fewer elements than the largest intp but more
+    # bytes; numpy refuses it with a ValueError, before allocating anything.
+    # big.gpqe is a valid 103-byte container: c = 1 stores no index bits,
+    # so 2**59 rows x 16 cols need no more file than one codebook.
+    monkeypatch.chdir(tmp_path)
+    q = gpq.QuantizedEmbedding(PartitionScheme(PartitionKind.UNIFIED, 1),
+                               np.broadcast_to(np.uint32(0), (2**59, 1)),
+                               np.ones((1, 1, 16), dtype=np.float32), None, 0)
+    (tmp_path / "big.gpqe").write_bytes(codec.encode(q))
+    assert run(capsys, "info", "--input", "big.gpqe")[0] == 0
+    code, _, err = run(capsys, *argv, "-o", "out")
+    assert code == 3
+    assert err.startswith("error: data:") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.gpqe"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compress", "--rep", "json"],
+    ["compress", "--s", "1"],
+    ["rwe", "--rows", "4", "--cols", "4", "--projection-d", "3"],
+], ids=["--rep", "--s", "--projection-d"])
+def test_options_only_by_full_name(tmp_path, capsys, w2v_file, argv):
+    if argv[0] == "compress":
+        argv = ["compress", "--input", str(w2v_file[0]), "-g", "4", "-c", "3"] + argv[1:]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists() and not (tmp_path / "out.proj").exists()
+    err = capsys.readouterr().err
+    assert err == f"error: usage: gpq: unrecognized arguments: {' '.join(argv[-2:])}\n"
+
+
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize("command", ["rwe", "decompress"])
 def test_failed_command_leaves_output_alone(tmp_path, capsys, command, existing):

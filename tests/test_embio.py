@@ -138,12 +138,36 @@ class TestWord2vecLoadMatchesReference:
     @example(case=(b"3 1\na 1\n\nb 2\nc 3\n", 1))
     @example(case=(b"1 1\na 1\nb 2\n", 1))
     @example(case=(b"100000000000 1\na 1\n", 1))
+    @example(case=(b"4 1\na 1\nb\nc 3\nd 4\n", 1))
+    @example(case=(b"3 1\na 1\n\xff 2\n\nc 3\n", 1))
+    @example(case=(b"3 1\na 1\n\na 2\n", 1))
     def test_matches_reference(self, chunk_rows, case):
         text, dim = case
         chunk = embio._CHUNK_VALUES if chunk_rows is None else chunk_rows * dim
         with mock.patch.object(embio, "_CHUNK_VALUES", chunk):
             got = load_outcome(load_word2vec_text, text)
         assert got == load_outcome(reference_load, text)
+
+    @pytest.mark.parametrize("special, slow_chunks", [("0.25", 0), ("1_000.5", 1)])
+    def test_valid_chunks_take_the_fast_path(self, special, slow_chunks):
+        # three chunks of 4 rows, CRLF line ends, tab separators; the per-row
+        # parse runs only for a chunk numpy refuses (row 5, the second chunk)
+        rng = np.random.default_rng(5)
+        rows = [[f"{x:.9g}" for x in rng.standard_normal(2)] for _ in range(12)]
+        rows[5][1] = special
+        text = "12 2\r\n" + "".join(f"w{i}\t{a}\t{b}\r\n" for i, (a, b) in enumerate(rows))
+        calls, parse_rows = [], embio._parse_rows
+
+        def spy(*args):
+            calls.append(args[1])
+            return parse_rows(*args)
+
+        with mock.patch.object(embio, "_CHUNK_VALUES", 8), \
+                mock.patch.object(embio, "_parse_rows", spy):
+            got = load_outcome(load_word2vec_text, text.encode())
+        assert calls == [4] * slow_chunks
+        assert got == load_outcome(reference_load, text.encode())
+        assert got[1] == (12, 2)
 
     def test_peak_memory_within_reference(self):
         # reading the whole file (15 MB here), or parsing the whole matrix

@@ -63,6 +63,13 @@ def test_projection_validation(n, m):
         projection_init(n, m, seed=0)
 
 
+def test_projection_beyond_numpy_bytes_is_data_error():
+    # 2**62 float64 values: fewer elements than the largest intp, but more
+    # bytes, which numpy refuses with a ValueError before allocating
+    with pytest.raises(DataError, match="more than numpy can address"):
+        projection_init(2**31, 2**31, 0)
+
+
 def test_zero_row_resampled(monkeypatch):
     # a zero row is redrawn from the same stream: the first draw's row 1 is
     # zeroed, so the result is the first draw with row 1 replaced by the
