@@ -111,17 +111,17 @@ def cmd_info(args):
 def cmd_rwe(args):
     if args.projection_output is not None and args.projection_dim is None:
         args.usage_error("argument --projection-output: requires --projection-dim")
-    cfg = rwe.RweConfig(args.rows, args.cols, args.seed, args.projection_dim)
-    e = rwe.rwe_generate(cfg)
-    if args.projection_dim is not None:  # computed before any output is opened
+    cfg = rwe.RweConfig(args.rows, args.cols, args.seed)
+    if args.projection_dim is not None:  # checked and computed before any other work
         w = rwe.projection_init(args.cols, args.projection_dim, args.seed)
         proj = w.astype("<f4").tobytes()
+    e = rwe.rwe_generate(cfg)
     with open(args.output, "wb") as f:
         embio.save_raw(e, f)
     if args.projection_dim is not None:
         with open(args.projection_output or args.output + ".proj", "wb") as f:
             f.write(proj)
-    _print_report(rwe.rwe_param_counts(cfg), args.report)
+    _print_report(rwe.rwe_param_counts(cfg, args.projection_dim), args.report)
 
 
 def cmd_compare(args):

@@ -40,6 +40,8 @@ class PartitionScheme:
     groups: int
 
     def __post_init__(self):
+        if not isinstance(self.kind, PartitionKind):
+            raise DataError(f"partition kind {self.kind!r} is not a PartitionKind")
         if self.groups < 1:
             raise DataError("group count must be >= 1")
 
@@ -209,6 +211,8 @@ def reconstruct(q: QuantizedEmbedding, mode: ReconstructMode = ReconstructMode.M
     draws one codebook with every entry ~ Normal(mean, variance) from the
     given seed, then looks up as in MEAN mode.
     """
+    if not isinstance(mode, ReconstructMode):
+        raise DataError(f"reconstruct mode {mode!r} is not a ReconstructMode")
     check_nbytes(4 * q.rows * q.cols, f"a {q.rows}x{q.cols} float32 matrix")
     if mode is ReconstructMode.SAMPLE:
         if q.codebook_vars is None:

@@ -75,24 +75,18 @@ class SplitMix64:
         self._seed = np.uint64(seed & _MASK)
         self._ctr = 0
 
-    def next_u64(self, n: int) -> np.ndarray:
-        idx = np.arange(self._ctr, self._ctr + n, dtype=np.uint64)
+    def uniforms(self, n: int) -> np.ndarray:
+        """n uniforms in [0, 1), from counters ctr + 1 ... ctr + n."""
+        ctr = np.arange(self._ctr + 1, self._ctr + n + 1, dtype=np.uint64)
         self._ctr += n
         with np.errstate(over="ignore"):
-            return mix64(self._seed + _GOLDEN * (idx + np.uint64(1)))
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms in [0, 1)."""
-        return (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-    def uniforms_open(self, n: int) -> np.ndarray:
-        """n uniforms in (0, 1]; safe to feed into log."""
-        return self.uniforms(n) + _INV_2_53  # (k + 1) 2^-53, exact
+            bits = mix64(self._seed + _GOLDEN * ctr)
+        return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal deviates via the Box-Muller transform."""
         k = (n + 1) // 2
-        u1 = self.uniforms_open(k)
+        u1 = self.uniforms(k) + _INV_2_53  # in (0, 1], safe for log; exact
         u2 = self.uniforms(k)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2

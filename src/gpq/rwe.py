@@ -18,17 +18,14 @@ class RweConfig:
     rows: int
     cols: int
     seed: int
-    projection_dim: int | None = None
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DataError(f"invalid shape {self.rows}x{self.cols}")
+        n, m = self.rows, self.cols
+        if n < 1 or m < 1:
+            raise DataError(f"invalid shape {n}x{m}")
         check_seed(self.seed)
-        if self.projection_dim is not None and self.projection_dim < 1:
-            raise DataError("projection_dim must be >= 1")
-        # at most n*m + 1 float64 values each: normals() draws an even count
-        for n, m in ((self.rows, self.cols), (self.cols, self.projection_dim or 1)):
-            check_nbytes(8 * (n * m + 1), f"a {n}x{m} float64 matrix")
+        # at most n*m + 1 float64 values: normals() draws an even count
+        check_nbytes(8 * (n * m + 1), f"a {n}x{m} float64 matrix")
 
 
 def rwe_generate(cfg: RweConfig) -> EmbeddingMatrix:
@@ -57,12 +54,11 @@ def projection_init(n: int, m: int, seed: int) -> np.ndarray:
     return ((2.0 * u - 1.0) * bound).astype(np.float32)
 
 
-def rwe_param_counts(cfg: RweConfig) -> dict:
+def rwe_param_counts(cfg: RweConfig, projection_dim: int | None = None) -> dict:
     """Float parameters of the generator itself (Gaussian mean and
-    variance) plus the projection's n*m when configured."""
-    proj = cfg.cols * cfg.projection_dim if cfg.projection_dim else 0
+    variance) plus those of a cols x projection_dim projection, if given."""
     return {
-        "float_params": 2 + proj,
+        "float_params": 2 + cfg.cols * (projection_dim or 0),
         "int_params": 0,
         "baseline_bits": cfg.rows * cfg.cols * 32,
     }

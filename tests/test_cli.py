@@ -154,10 +154,21 @@ def test_rwe_projection_output_requires_projection_dim(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_rwe_bad_projection_dim_writes_nothing(tmp_path, capsys):
+    # projection_init, the one check of a projection's width, runs before
+    # the matrix is generated or any output is opened
+    code, stdout, err = run(capsys, "rwe", "--rows", "4", "--cols", "4",
+                            "--projection-dim", "0", "-o", str(tmp_path / "x"))
+    assert (code, stdout) == (3, "")
+    assert err == "error: data: projection dimensions must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 
 # Every size here is at least 2**50 elements, which numpy refuses before it
-# touches a page: beyond its index range (a DataError from RweConfig), or an
-# allocation larger than the address space (MemoryError).
+# touches a page: beyond its index range (a DataError from RweConfig or
+# projection_init), or an allocation larger than the address space
+# (MemoryError).
 @pytest.mark.parametrize("size", [
     ["--rows", str(2**25), "--cols", str(2**25)],
     ["--rows", "1", "--cols", "1", "--projection-dim", str(2**50)],

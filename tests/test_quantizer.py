@@ -66,6 +66,13 @@ class TestPartition:
         with pytest.raises(DataError, match="does not divide"):
             partition(emb(np.zeros((2, 4))), PartitionScheme(STRUCT, 3))
 
+    @pytest.mark.parametrize("kind", ["structured", "unified"])
+    def test_kind_not_a_member(self, kind):
+        # a str would read as unified in PartitionScheme.blocks but as
+        # structured in codec.encode, giving a container decode rejects
+        with pytest.raises(DataError, match="not a PartitionKind"):
+            PartitionScheme(kind, 4)
+
 
 class TestCompress:
     def test_identical_rows_single_cluster(self):
@@ -216,6 +223,13 @@ class TestReconstruct:
         for seed in range(20):
             sample = reconstruct(q, ReconstructMode.SAMPLE, seed=seed)
             assert np.array_equal(sample.values, mean.values)
+
+    @pytest.mark.parametrize("mode", ["sample", "bogus"])
+    def test_mode_not_a_member(self, four_by_four, mode):
+        # a str was read as mean mode
+        q = gpq_compress(four_by_four, PartitionScheme(STRUCT, 2), 2, seed=0)
+        with pytest.raises(DataError, match="not a ReconstructMode"):
+            reconstruct(q, mode, seed=3)
 
     def test_sample_requires_variances(self, four_by_four):
         q = pq_compress(four_by_four, PartitionScheme(STRUCT, 2), 2, seed=0)

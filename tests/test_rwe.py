@@ -20,12 +20,6 @@ def test_deterministic():
     assert a.values.tobytes() != c.values.tobytes()
 
 
-def test_projection_dim_does_not_change_matrix():
-    a = rwe_generate(RweConfig(20, 4, seed=5))
-    b = rwe_generate(RweConfig(20, 4, seed=5, projection_dim=64))
-    assert np.array_equal(a.values, b.values)
-
-
 def test_statistics_large():
     e = rwe_generate(RweConfig(10000, 64, seed=0))
     vals = e.values.astype(np.float64)
@@ -52,7 +46,7 @@ def test_projection_deterministic():
 
 def test_param_counts():
     assert rwe_param_counts(RweConfig(32000, 512, seed=0))["float_params"] == 2
-    counts = rwe_param_counts(RweConfig(32000, 512, seed=0, projection_dim=512))
+    counts = rwe_param_counts(RweConfig(32000, 512, seed=0), 512)
     assert counts["float_params"] == 2 + 512 * 512
     assert counts["int_params"] == 0
 
@@ -106,7 +100,7 @@ def test_seed_outside_64_bits_is_data_error(seed):
     assert projection_init(4, 4, last).shape == (4, 4)
 
 
-@pytest.mark.parametrize("rows,cols,pdim", [(0, 4, None), (4, 0, None), (4, 4, 0)])
-def test_config_validation(rows, cols, pdim):
+@pytest.mark.parametrize("rows,cols", [(0, 4), (4, 0)])
+def test_config_validation(rows, cols):
     with pytest.raises(DataError):
-        RweConfig(rows, cols, seed=0, projection_dim=pdim)
+        RweConfig(rows, cols, seed=0)
