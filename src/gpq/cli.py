@@ -131,9 +131,9 @@ def cmd_compare(args):
     _print_report(dataclasses.asdict(metrics.fidelity(a, b, args.k)), args.report)
 
 
-def _sweep_one(e, args, g: int, c: int):
+def _sweep_one(e, args, g: int, c: int, against):
     q = _quantize(e, args, g, c)
-    rep = metrics.fidelity(e, quantizer.reconstruct(q), args.k)
+    rep = against(quantizer.reconstruct(q))
     return {"groups": g, "clusters": c, **dataclasses.asdict(rep),
             "size": dataclasses.asdict(quantizer.size_report(q))}
 
@@ -147,7 +147,8 @@ def cmd_sweep(args):
             configs.append((int(g_str), int(c_str)))
         except ValueError:
             raise DataError(f"bad --config {spec_str!r}, expected G:C") from None
-    _print_report([_sweep_one(e, args, g, c) for g, c in configs], "json")
+    against = metrics.fidelity_against(e, args.k)
+    _print_report([_sweep_one(e, args, g, c, against) for g, c in configs], "json")
 
 
 class _Parser(argparse.ArgumentParser):

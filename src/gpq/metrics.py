@@ -209,22 +209,36 @@ def _rmse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(_squared_error_sum(a.ravel(), b.ravel()) / a.size))
 
 
+def fidelity_against(e: EmbeddingMatrix, k: int):
+    """fidelity(e, r, k) as a function of r. The original's top-k lists are
+    ranked on the first call and reused by every later one, so a sweep
+    ranks its original once."""
+    nn_e = None
+
+    def report(r: EmbeddingMatrix) -> FidelityReport:
+        nonlocal nn_e
+        if e.values.shape != r.values.shape:
+            raise DataError(
+                f"shape mismatch: {e.values.shape} vs {r.values.shape}")
+        if not 1 <= k < e.rows:
+            raise DataError(f"k={k} out of range [1, {e.rows})")
+
+        rmse = _rmse(e.values, r.values)
+        mean_cosine = _mean_cosine(e.values, r.values, _block_rows(e.rows))
+
+        if nn_e is None:
+            nn_e = _topk_neighbors(e.values, k)
+        nn_r = _topk_neighbors(r.values, k)
+        # each row lists k distinct indices, so a shared index is an adjacent
+        # equal pair once both lists are sorted together
+        both = np.sort(np.concatenate((nn_e, nn_r), axis=1), axis=1)
+        shared = np.count_nonzero(both[:, 1:] == both[:, :-1], axis=1)
+        overlap = np.mean(shared / k)
+        return FidelityReport(rmse, mean_cosine, float(overlap), k)
+
+    return report
+
+
 def fidelity(e: EmbeddingMatrix, r: EmbeddingMatrix, k: int) -> FidelityReport:
     """Compare a reconstruction r against the original e."""
-    if e.values.shape != r.values.shape:
-        raise DataError(
-            f"shape mismatch: {e.values.shape} vs {r.values.shape}")
-    if not 1 <= k < e.rows:
-        raise DataError(f"k={k} out of range [1, {e.rows})")
-
-    rmse = _rmse(e.values, r.values)
-    mean_cosine = _mean_cosine(e.values, r.values, _block_rows(e.rows))
-
-    nn_a = _topk_neighbors(e.values, k)
-    nn_b = _topk_neighbors(r.values, k)
-    # each row lists k distinct indices, so a shared index is an adjacent
-    # equal pair once both lists are sorted together
-    both = np.sort(np.concatenate((nn_a, nn_b), axis=1), axis=1)
-    shared = np.count_nonzero(both[:, 1:] == both[:, :-1], axis=1)
-    overlap = np.mean(shared / k)
-    return FidelityReport(rmse, mean_cosine, float(overlap), k)
+    return fidelity_against(e, k)(r)

@@ -22,6 +22,10 @@ from .kmeans import kmeans_best_of
 from .rng import SplitMix64, check_seed, derive_seed
 
 FLOAT_BITS = 32  # bit width of one stored floating-point parameter
+_GATHER_BYTES = 1 << 17  # output bytes per reconstruct chunk. In a fresh
+# process, 256 KiB chunks took 2.6x as long at 2000x64, d = 1, where the
+# chunk's intp index is twice the output; 32 KiB ones took 1.4x as long at
+# 4000x128, d = 16.
 
 
 class PartitionKind(enum.Enum):
@@ -224,9 +228,18 @@ def reconstruct(q: QuantizedEmbedding, mode: ReconstructMode = ReconstructMode.M
     else:
         book = q.codebook_means
 
-    blocks = q.scheme.blocks
+    blocks, c, sub = book.shape
+    table = book.reshape(blocks * c, sub)  # codebook b's rows start at row b·c
+    offsets = np.arange(0, blocks * c, c)[:, None]
     index = q.index_matrix.reshape(q.rows, blocks, -1)  # column block b reads codebook b
-    return EmbeddingMatrix(book[np.arange(blocks)[:, None], index].reshape(q.rows, q.cols))
+    out = np.empty((q.rows, q.cols), dtype=np.float32)
+    step = max(1, _GATHER_BYTES // out[:1].nbytes)
+    for lo in range(0, q.rows, step):
+        # np.take's default mode="raise" fails on an entry past the last
+        # codebook, where mode="clip" would read the table's last row
+        out[lo:lo + step] = np.take(table, index[lo:lo + step] + offsets,
+                                    axis=0).reshape(-1, q.cols)
+    return EmbeddingMatrix(out)
 
 
 def compute_size_report(rows: int, cols: int, scheme: PartitionScheme,

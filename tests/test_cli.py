@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import struct
@@ -257,6 +258,22 @@ def test_sweep_ordered_output(tmp_path, capsys, w2v_file):
     assert [(r["groups"], r["clusters"]) for r in results] == [(4, 2), (4, 4), (2, 3)]
     for r in results:
         assert set(r) >= {"rmse", "mean_cosine", "nn_overlap_at_k", "size"}
+
+
+def test_sweep_ranks_the_original_once(capsys, monkeypatch, w2v_file):
+    # one ranking of the original and one per configuration, where a
+    # fidelity call per configuration would rank the original each time
+    metrics = importlib.import_module("gpq.metrics")
+    ranked, topk = [], metrics._topk_neighbors
+    monkeypatch.setattr(metrics, "_topk_neighbors",
+                        lambda values, k: ranked.append(values) or topk(values, k))
+    src, e = w2v_file
+    configs = ["4:2", "4:4", "2:3"]
+    code, _, _ = run(capsys, "sweep", "--input", str(src), "-k", "3",
+                     *[a for c in configs for a in ("--config", c)])
+    assert code == 0
+    assert len(ranked) == 1 + len(configs)
+    assert sum(np.array_equal(values, e.values) for values in ranked) == 1
 
 
 def test_sweep_bad_config_is_data_error(capsys, w2v_file):

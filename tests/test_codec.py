@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from _memory import traced_peak
 from _oracles import pack_indices as reference_pack, unpack_indices as reference_unpack
 from gpq import (DataError, EmbeddingMatrix, FormatError, PartitionKind, PartitionScheme,
-                 QuantizedEmbedding, ReconstructMode, RweConfig, gpq_compress, pq_compress,
-                 reconstruct, rwe_generate)
+                 QuantizedEmbedding, ReconstructMode, RweConfig, codec, gpq_compress,
+                 pq_compress, reconstruct, rwe_generate)
 from gpq.cli import main
 from gpq.codec import HEADER_SIZE, decode, encode, pack_indices, payload_length, unpack_indices
 from gpq.quantizer import index_bit_width, size_report
@@ -95,6 +95,38 @@ def test_codec_peak_memory_bounded_by_index():
     for fn, args in ((pack_indices, (index, 6)), (unpack_indices, (packed, index.size, 6)),
                      (encode, (q,)), (decode, (data,))):
         assert traced_peak(fn, *args) <= 3 * index.nbytes, fn.__name__
+
+
+@pytest.mark.parametrize("chunk", [8, 16, codec._CHUNK])
+@pytest.mark.parametrize("bits", range(33))
+def test_chunked_packing_matches_oracle_at_chunk_edges(monkeypatch, chunk, bits):
+    # counts on both sides of the 8-entry groups and of 1-3 chunks, and 0
+    monkeypatch.setattr(codec, "_CHUNK", chunk)
+    rng = np.random.default_rng([bits, chunk])
+    for count in (0, 1, 7, 8, 9, 15, 16, 17, 23, 31, 33, 47, 49, 100):
+        vals = rng.integers(0, 2**bits, size=count, dtype=np.uint64).astype(np.uint32)
+        vals[rng.random(count) < 0.2] = 2**bits - 1
+        packed = pack_indices(vals, bits)
+        assert packed == reference_pack(vals, bits)
+        out = np.full(len(packed), 0xA5, dtype=np.uint8)  # every byte is written
+        assert pack_indices(vals, bits, out) is out and out.tobytes() == packed
+        back = unpack_indices(packed, count, bits)
+        assert back.dtype == np.uint32 and np.array_equal(back, vals)
+        assert np.array_equal(back, reference_unpack(packed, count, bits))
+
+
+@pytest.mark.parametrize("rows, groups, c", [(8191, 511, 50), (1000, 63, 1025)])
+def test_codec_memory_bounded_by_output_and_one_chunk(rows, groups, c):
+    # 4.2M entries at 6 bits and 63k at 11 bits; neither count is a
+    # multiple of 8, so the last group is padded
+    rng = np.random.default_rng(rows)
+    index = rng.integers(0, c, size=(rows, groups)).astype(np.uint32)
+    means = np.zeros((1, c, 1), dtype=np.float32)
+    q = QuantizedEmbedding(PartitionScheme(PartitionKind.UNIFIED, groups), index, means, None, 0)
+    data = bytes(encode(q))
+    chunk = 4 * codec._CHUNK  # a chunk of the uint32 index
+    assert traced_peak(encode, q) <= len(data) + chunk
+    assert traced_peak(decode, data) <= index.nbytes + means.nbytes + chunk
 
 
 class TestContainer:

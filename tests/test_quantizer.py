@@ -217,6 +217,22 @@ class TestReconstruct:
                                None, seed=0)
         assert traced_peak(reconstruct, q) < 1.5 * 4000 * 256 * 4
 
+    @pytest.mark.parametrize("kind", [STRUCT, UNIFIED])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_chunked_gather_matches_fancy_index(self, monkeypatch, kind, c):
+        # 1-row and 2-row chunks over 7 rows, in both modes; c = 1 goes
+        # through a container, whose decoded index is a broadcast view
+        e = emb(np.random.default_rng(c).normal(size=(7, 12)))
+        q = codec.decode(codec.encode(gpq_compress(e, PartitionScheme(kind, 4), c, seed=1)))
+        blocks = q.scheme.blocks
+        index = q.index_matrix.reshape(7, blocks, -1)
+        want = q.codebook_means[np.arange(blocks)[:, None], index].reshape(7, 12)
+        sample = reconstruct(q, ReconstructMode.SAMPLE, seed=4).values
+        for rows in (1, 2):
+            monkeypatch.setattr(quantizer, "_GATHER_BYTES", rows * 12 * 4)
+            assert np.array_equal(reconstruct(q).values, want)
+            assert np.array_equal(reconstruct(q, ReconstructMode.SAMPLE, seed=4).values, sample)
+
     def test_sample_zero_variance_equals_mean(self, four_by_four):
         q = gpq_compress(four_by_four, PartitionScheme(STRUCT, 2), 2, seed=0, restarts=4)
         mean = reconstruct(q, ReconstructMode.MEAN)
