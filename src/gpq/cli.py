@@ -77,9 +77,7 @@ def cmd_compress(args):
     data = codec.encode(q)
     with open(args.output, "wb") as f:
         f.write(data)
-    _print_report({**dataclasses.asdict(quantizer.size_report(q)),
-                   "container_bytes": len(data),
-                   "header_and_crc_bytes": len(data) - codec.payload_length(data)},
+    _print_report({**dataclasses.asdict(quantizer.size_report(q)), "container_bytes": len(data)},
                   args.report)
 
 

@@ -6,10 +6,15 @@ ceil(log2 c) bits per entry, MSB-first, zero-padded to a byte boundary
 only at the end of the whole index section (decode rejects a set padding
 bit, so each container has one encoding), then CRC-32 (ISO-HDLC, LE)
 over everything preceding it. The payload between header and CRC is
-exactly storable_bits/8 bytes. Any 8 consecutive entries from the index's
-start fill `bits` whole bytes, so the index is packed and unpacked in
-8-entry groups, a chunk of groups at a time.
-"""
+exactly storable_bits/8 bytes.
+
+Any 8 consecutive entries from the index's start fill `bits` whole bytes,
+so the index is packed and unpacked in 8-entry groups, a chunk of groups
+at a time. Entry p of a group lives in its window: the big-endian
+unsigned word of the narrowest width w in {1, 2, 4, 8} bytes with
+8w >= bits + 7, at byte p·bits // 8 of the group. With
+r = 8w - p·bits % 8 - bits, the entry is (window >> r) & (2**bits - 1).
+Since w <= bits, the windows of one p never overlap."""
 
 from __future__ import annotations
 
@@ -32,24 +37,19 @@ _FLAG_UNIFIED = 0x02
 
 
 _CHUNK = 1 << 17  # entries per pack or unpack chunk, a multiple of 8. Each chunk
-# makes 8 to 2·bits + 7 ufunc calls: 2^14-entry chunks took 1.5-1.8x as long
-# at 128k entries x 6 bits, and larger chunks were no faster at 16.4M.
+# makes 16 ufunc calls, two per entry position: 2^14-entry chunks took 1.7-1.8x
+# as long at 128k entries x 6 bits, and 2^20-entry chunks were slower at 16.4M.
 
 
-def _pack_groups(groups: np.ndarray, packed: np.ndarray, tmp: np.ndarray) -> None:
-    """Pack (n, 8) entries into (n, bits) bytes: byte j of a group is the OR
-    of the entries that overlap it, each shifted into place."""
-    bits = packed.shape[1]
-    for j in range(bits):
-        for p in range(8 * j // bits, (8 * j + 7) // bits + 1):
-            r = (p + 1) * bits - 8 * j - 8  # entry p's last bit past byte j's
-            shift = np.right_shift if r >= 0 else np.left_shift
-            if p == 8 * j // bits:
-                shift(groups[:, p], abs(r), out=packed[:, j], casting="unsafe")
-            else:
-                shift(groups[:, p], abs(r), out=tmp[:len(groups)])
-                np.bitwise_or(packed[:, j], tmp[:len(groups)], out=packed[:, j],
-                              casting="unsafe")
+def _windows(groups: int, bits: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Staging for `groups` 8-entry groups: a zeroed byte buffer, a temporary
+    of the window width per group, and for p = 0..7 entry p's window into
+    the buffer with its shift r, as the module docstring states them."""
+    w = next(w for w in (1, 2, 4, 8) if 8 * w >= bits + 7)
+    buf = np.zeros((groups + 1) * bits, dtype=np.uint8)  # w <= bits: one group of slack
+    return buf, np.empty(groups, f"u{w}"), [
+        (np.ndarray((groups,), f">u{w}", buf, p * bits // 8, (bits,)),
+         8 * w - p * bits % 8 - bits) for p in range(8)]
 
 
 def pack_indices(values: np.ndarray, bits: int,
@@ -57,54 +57,44 @@ def pack_indices(values: np.ndarray, bits: int,
     """Pack a flat integer array at `bits` bits per entry, MSB-first; every
     value must be below 2**bits. Returns the bytes, or writes them into
     `out`, a uint8 array of exactly ceil(count·bits/8) bytes, and returns it.
-    Whole 8-entry groups are packed a chunk at a time straight into place."""
+    Entry p of each group is ORed into its window a chunk at a time."""
     dest = np.empty((np.size(values) * bits + 7) // 8, dtype=np.uint8) if out is None else out
     if bits == 0:
         return b"" if out is None else dest  # before ravel() copies a broadcast index
     vals = np.asarray(values, dtype=np.uint32).ravel()
-    full = vals.size - vals.size % 8
-    tmp = np.empty(min(_CHUNK, vals.size + 7) // 8, dtype=np.uint32)
-    for lo in range(0, full, _CHUNK):
-        hi = min(lo + _CHUNK, full)
-        _pack_groups(vals[lo:hi].reshape(-1, 8),
-                     dest[lo // 8 * bits:hi // 8 * bits].reshape(-1, bits), tmp)
-    if full < vals.size:  # the last group, padded with zero entries
-        last = np.zeros((1, 8), dtype=np.uint32)
-        last[0, :vals.size - full] = vals[full:]
-        packed = np.empty((1, bits), dtype=np.uint8)
-        _pack_groups(last, packed, tmp)
-        dest[full // 8 * bits:] = packed[0, :len(dest) - full // 8 * bits]
+    buf, tmp, windows = _windows(min(_CHUNK, vals.size + 7) // 8, bits)
+    for lo in range(0, vals.size, _CHUNK):
+        buf.fill(0)
+        for p, (window, r) in enumerate(windows):
+            src = vals[lo + p:lo + _CHUNK:8]
+            np.left_shift(src, r, out=tmp[:len(src)], dtype=tmp.dtype, casting="unsafe")
+            np.bitwise_or(window[:len(src)], tmp[:len(src)], out=window[:len(src)])
+        part = dest[lo // 8 * bits:][:len(tmp) * bits]
+        part[:] = buf[:len(part)]
     return dest.tobytes() if out is None else dest
 
 
 def unpack_indices(data: bytes, count: int, bits: int) -> np.ndarray:
-    """`count` entries of `bits` bits each, MSB-first. At 0 bits every entry
-    is 0, and the result is a read-only view of one zero.
-
-    Entry p of each 8-entry group is a fixed shift of the big-endian
-    8-byte window at byte p·bits // 8 of the group's `bits` bytes; the
-    groups are read a chunk at a time into the uint32 result."""
+    """`count` entries of `bits` bits each, MSB-first, as uint32. At 0 bits
+    every entry is 0, and the result is a read-only view of one zero.
+    Entry p of each group is read from its window a chunk at a time."""
     if len(data) * 8 < count * bits:
         raise FormatError("truncated index section")
     if bits == 0:
         return np.broadcast_to(np.uint32(0), (count,))
     raw = np.frombuffer(data, dtype=np.uint8)
-    out = np.empty(count + -count % 8, dtype=np.uint32)
-    # a chunk's windows read up to 8 bytes past its end; bytes past the
-    # data only reach bits past the last entry
-    n = len(out[:_CHUNK]) // 8  # groups per chunk
-    buf = np.zeros(n * bits + 8, dtype=np.uint8)
-    tmp = np.empty(n, dtype=np.uint64)
+    out = np.empty(count, dtype=np.uint32)
+    buf, tmp, windows = _windows(min(_CHUNK, count + 7) // 8, bits)
     for lo in range(0, count, _CHUNK):
-        groups = out[lo:lo + _CHUNK].reshape(-1, 8)
-        src = raw[lo // 8 * bits:][:len(groups) * bits]
+        # a short last chunk leaves stale bytes after its own, which only
+        # reach bits past the last entry
+        src = raw[lo // 8 * bits:][:len(tmp) * bits]
         buf[:len(src)] = src
-        for p in range(8):
-            at, s = divmod(p * bits, 8)
-            window = np.ndarray((len(groups),), ">u8", buf, at, (bits,))
-            np.left_shift(window, s, out=tmp[:len(groups)])
-            np.right_shift(tmp[:len(groups)], 64 - bits, out=groups[:, p], casting="unsafe")
-    return out[:count]
+        for p, (window, r) in enumerate(windows):
+            dst = out[lo + p:lo + _CHUNK:8]
+            np.right_shift(window[:len(dst)], r, out=tmp[:len(dst)])
+            np.bitwise_and(tmp[:len(dst)], (1 << bits) - 1, out=dst, casting="unsafe")
+    return out
 
 
 def encode(q: QuantizedEmbedding) -> bytearray:
@@ -173,7 +163,3 @@ def decode(data: bytes) -> QuantizedEmbedding:
     except DataError as exc:
         raise FormatError(str(exc)) from exc
 
-
-def payload_length(data: bytes) -> int:
-    """Byte length of the payload (header and CRC excluded)."""
-    return len(data) - HEADER_SIZE - 4

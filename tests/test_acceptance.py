@@ -160,7 +160,7 @@ def test_criterion_8_codec():
         q = random_quantized(rng)
         data = codec.encode(q)
         assert codec.decode(data) == q
-        assert codec.payload_length(data) * 8 == quantizer.size_report(q).storable_bits
+        assert (len(data) - codec.HEADER_SIZE - 4) * 8 == quantizer.size_report(q).storable_bits
         pos = int(rng.integers(0, len(data)))
         corrupted = bytearray(data)
         corrupted[pos] ^= 1 << int(rng.integers(0, 8))

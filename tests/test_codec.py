@@ -14,7 +14,7 @@ from gpq import (DataError, EmbeddingMatrix, FormatError, PartitionKind, Partiti
                  QuantizedEmbedding, ReconstructMode, RweConfig, codec, gpq_compress,
                  pq_compress, reconstruct, rwe_generate)
 from gpq.cli import main
-from gpq.codec import HEADER_SIZE, decode, encode, pack_indices, payload_length, unpack_indices
+from gpq.codec import HEADER_SIZE, decode, encode, pack_indices, unpack_indices
 from gpq.quantizer import index_bit_width, size_report
 
 
@@ -168,7 +168,8 @@ class TestContainer:
         rng = np.random.default_rng(2)
         for _ in range(30):
             q = random_quantized(rng)
-            assert payload_length(encode(q)) * 8 == size_report(q).storable_bits
+            data = encode(q)
+            assert (len(data) - HEADER_SIZE - 4) * 8 == size_report(q).storable_bits
 
     def test_byte_flip_detected(self):
         rng = np.random.default_rng(3)

@@ -11,6 +11,7 @@ from _memory import traced_peak
 from _oracles import load_word2vec_text as reference_load
 from gpq import (DataError, EmbeddingMatrix, embio, load_raw, load_word2vec_text,
                  save_raw, save_word2vec_text)
+from gpq.kmeans import kmeans
 
 
 def w2v_bytes(text: str) -> io.BytesIO:
@@ -275,6 +276,21 @@ class TestEmbeddingMatrix:
     def test_rejects_nan(self):
         with pytest.raises(DataError):
             EmbeddingMatrix(np.array([[np.nan]], dtype=np.float32))
+
+    @pytest.mark.parametrize("check", [EmbeddingMatrix, lambda v: kmeans(v, 1, seed=0)],
+                             ids=["EmbeddingMatrix", "kmeans"])
+    @pytest.mark.parametrize("at", [0, 5, 11])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_non_finite_value_anywhere(self, check, at, value):
+        v = np.linspace(-1, 1, 12, dtype=np.float32)
+        v[at] = value
+        with pytest.raises(DataError, match="non-finite"):
+            check(v.reshape(3, 4))
+
+    def test_finiteness_check_makes_no_mask(self):
+        # a bool mask of the matrix would be a quarter of its float32 bytes
+        x = np.ones((512, 512), dtype=np.float32)
+        assert traced_peak(EmbeddingMatrix, x) <= x.nbytes // 16
 
     def test_rejects_empty(self):
         with pytest.raises(DataError):

@@ -1,23 +1,21 @@
 import math
-import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from gpq import DataError, kmeans, kmeans_best_of
+import gpq.kmeans as KMEANS
+from gpq import DataError, kmeans_best_of
 from gpq.kmeans import (_BUCKETS, _CHUNK_ROWS, _LOOKUP_CHUNK, _assign_dense, _assign_sorted,
                         _block_moments, _canonical, _run_moments, _run_starts, _seed,
-                        _value_labels)
+                        _value_labels, kmeans)
 from gpq.rng import SplitMix64
 
 from _memory import traced_peak
 from _oracles import (brute_force_kmeans_objective, brute_force_nearest,
                       brute_force_sorted_plus_plus, optimal_kmeans_1d_objective, plain_lloyd,
                       searchsorted_value_labels)
-
-KMEANS = sys.modules[_seed.__module__]  # gpq.kmeans is also a function name
 
 
 def check_result_invariants(pts, res, c):
