@@ -23,7 +23,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_finite
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,10 @@ class EmbeddingMatrix:
     vocab: list[str] | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float32)
+        v = to_float32(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataError(f"embedding matrix must be 2-D and non-empty, got shape {v.shape}")
-        if not (np.isfinite(v.min()) and np.isfinite(v.max())):  # NaN reaches both
-            raise DataError("embedding matrix contains non-finite values")
+        check_finite(v, "embedding matrix contains non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         if self.vocab is not None:
@@ -73,6 +72,14 @@ class EmbeddingMatrix:
         if not isinstance(other, EmbeddingMatrix):
             return NotImplemented
         return np.array_equal(self.values, other.values) and self.vocab == other.vocab
+
+
+def to_float32(values) -> np.ndarray:
+    """values as a float32 array, with no copy of float32 input. A value
+    beyond binary32 range becomes inf without a warning, for check_finite
+    to report."""
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype=np.float32)
 
 
 # rows are parsed about this many values at a time, whatever the file's
@@ -130,16 +137,15 @@ def _read_chunk(source: BinaryIO, first: int, n: int, count: int, dim: int,
         # a blank line or a token alone has no second field: IndexError
         fields = [line.decode("utf-8").strip().split(None, 1) for line in lines]
         tokens = [f[0] for f in fields]
-        values = np.loadtxt([f[1] for f in fields], dtype=np.float64, comments=None, ndmin=2)
-        # beyond binary32 range casts to inf, which the per-row parse reports
-        with np.errstate(over="ignore"):
-            values = values.astype(np.float32)
+        values = to_float32(
+            np.loadtxt([f[1] for f in fields], dtype=np.float64, comments=None, ndmin=2))
+        # a non-finite chunk goes to the per-row parse, which reports the row
+        check_finite(values, "non-finite value")
         new = set(tokens)
-        if (values.shape == (n, dim) and len(new) == n and seen.isdisjoint(new)
-                and np.isfinite(values).all()):
+        if values.shape == (n, dim) and len(new) == n and seen.isdisjoint(new):
             seen |= new
             return tokens, values
-    except (ValueError, IndexError):  # UnicodeDecodeError is a ValueError
+    except (ValueError, IndexError, DataError):  # UnicodeDecodeError is a ValueError
         pass
     return _parse_rows(lines, first, count, dim, seen)
 
@@ -168,13 +174,10 @@ def _parse_rows(lines: list[bytes], first: int, count: int, dim: int,
         seen.add(token)
         tokens.append(token)
         try:
-            # beyond binary32 range casts to inf, which the check below reports
-            with np.errstate(over="ignore"):
-                row = np.array([float(f) for f in fields[1:]], dtype=np.float32)
+            row = to_float32([float(f) for f in fields[1:]])
         except ValueError:
             raise DataError(f"unparseable value at row {i}") from None
-        if not np.all(np.isfinite(row)):
-            raise DataError(f"non-finite value at row {i}")
+        check_finite(row, f"non-finite value at row {i}")
         rows.append(row)
     return tokens, np.stack(rows)
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package, and the one array-size
-check."""
+check and the one finiteness check."""
 
 import sys
+
+import numpy as np
 
 
 class GpqError(Exception):
@@ -24,3 +26,12 @@ def check_nbytes(nbytes: int, what: str) -> None:
     ValueError, before it allocates anything."""
     if nbytes > sys.maxsize:
         raise DataError(f"{what} takes {nbytes} bytes, more than numpy can address")
+
+
+def check_finite(values: np.ndarray, message: str) -> None:
+    """DataError(message) unless every value is finite. A NaN reaches both
+    min and max, so their two scalars decide it and no mask is built; no
+    numpy build warns on a NaN there."""
+    with np.errstate(invalid="ignore"):
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+            raise DataError(message)

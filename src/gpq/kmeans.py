@@ -80,8 +80,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .rng import SplitMix64, row_hashes
+from .errors import DataError, check_finite
+from .rng import SplitMix64, check_seed, row_hashes
 
 DEFAULT_MAX_ITER = 100
 DEFAULT_REL_TOL = 1e-6
@@ -349,8 +349,8 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
         raise DataError("cluster count must be >= 1")
     if c > m:
         raise DataError(f"cluster count {c} exceeds point count {m}")
-    if not (np.isfinite(pts.min()) and np.isfinite(pts.max())):  # NaN reaches both
-        raise DataError("points contain non-finite values")
+    check_seed(seed)
+    check_finite(pts, "points contain non-finite values")
 
     cols = _canonical(pts, seed)
     centroids = _seed(cols, c, seed)
@@ -401,9 +401,10 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
 
 
 def kmeans_best_of(points, c: int, seed: int, restarts: int = 1) -> ClusterResult:
-    """Best of `restarts` kmeans runs (seeds seed+0 .. seed+restarts-1);
-    ties go to the lowest restart index."""
+    """Best of `restarts` kmeans runs (seeds seed+0 .. seed+restarts-1,
+    mod 2**64); ties go to the lowest restart index."""
     if restarts < 1:
         raise DataError("restarts must be >= 1")
-    return min((kmeans(points, c, seed + r) for r in range(restarts)),
+    check_seed(seed)
+    return min((kmeans(points, c, (seed + r) % 2**64) for r in range(restarts)),
                key=lambda res: res.objective)

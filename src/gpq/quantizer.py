@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embio import EmbeddingMatrix
-from .errors import DataError, check_nbytes
+from .embio import EmbeddingMatrix, to_float32
+from .errors import DataError, check_finite, check_nbytes
 from .kmeans import kmeans_best_of
 from .rng import SplitMix64, check_seed, derive_seed
 
@@ -101,14 +101,12 @@ class QuantizedEmbedding:
                                         for s in self.index_matrix.strides)]
         if index.max() >= self.clusters:
             raise DataError("index matrix entry out of range")
-        if not np.all(np.isfinite(self.codebook_means)):
-            raise DataError("non-finite mean in codebook")
+        check_finite(self.codebook_means, "non-finite mean in codebook")
         if self.codebook_vars is not None:
             if self.codebook_vars.shape != self.codebook_means.shape:
                 raise DataError("variance table shape differs from codebook")
-            if not np.all(np.isfinite(self.codebook_vars)):
-                raise DataError("non-finite variance in codebook")
-            if np.any(self.codebook_vars < 0):
+            check_finite(self.codebook_vars, "non-finite variance in codebook")
+            if self.codebook_vars.min() < 0:
                 raise DataError("negative variance in codebook")
         check_seed(self.seed)
 
@@ -185,12 +183,11 @@ def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
     for b, block in enumerate(blocks):
         res = kmeans_best_of(block, c, derive_seed(seed, b), restarts)
         index.reshape(e.rows, len(blocks), -1)[:, b] = res.assignments.reshape(e.rows, -1)
-        # a variance beyond binary32 range casts to inf, which
-        # QuantizedEmbedding rejects
-        with np.errstate(over="ignore"):
-            means[b] = res.centroids
-            if with_vars:
-                vars_[b] = res.variances
+        # a mean lies within its cluster's float32 range; a variance beyond
+        # binary32 range casts to inf, which QuantizedEmbedding rejects
+        means[b] = res.centroids
+        if with_vars:
+            vars_[b] = to_float32(res.variances)
     return QuantizedEmbedding(scheme, index, means, vars_, seed)
 
 

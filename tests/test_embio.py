@@ -9,13 +9,27 @@ from hypothesis.extra.numpy import arrays
 
 from _memory import traced_peak
 from _oracles import load_word2vec_text as reference_load
-from gpq import (DataError, EmbeddingMatrix, embio, load_raw, load_word2vec_text,
-                 save_raw, save_word2vec_text)
+from gpq import (DataError, EmbeddingMatrix, PartitionKind, PartitionScheme, QuantizedEmbedding,
+                 embio, load_raw, load_word2vec_text, save_raw, save_word2vec_text)
 from gpq.kmeans import kmeans
 
 
 def w2v_bytes(text: str) -> io.BytesIO:
     return io.BytesIO(text.encode("utf-8"))
+
+
+def codebook(means: np.ndarray, variances: np.ndarray | None = None) -> QuantizedEmbedding:
+    """A one-row QuantizedEmbedding of one unified group over the (c, d)
+    table means, with the variance table variances."""
+    return QuantizedEmbedding(PartitionScheme(PartitionKind.UNIFIED, 1),
+                              np.zeros((1, 1), dtype=np.uint32), means[None],
+                              None if variances is None else variances[None], 0)
+
+
+def w2v_of(v: np.ndarray) -> io.BytesIO:
+    """Word2vec text of the rows of v, tokens w0, w1, ..."""
+    rows = "".join(f"w{i} {' '.join(map(str, row))}\n" for i, row in enumerate(v))
+    return w2v_bytes(f"{v.shape[0]} {v.shape[1]}\n{rows}")
 
 
 class TestWord2vecLoad:
@@ -205,6 +219,7 @@ class TestRaw:
         save_raw(e, buf)
         buf.seek(0)
         assert load_raw(buf, 5, 4) == e
+        assert e != "e"
 
     def test_identity_bytes(self):
         e = EmbeddingMatrix(np.eye(3, dtype=np.float32))
@@ -277,15 +292,23 @@ class TestEmbeddingMatrix:
         with pytest.raises(DataError):
             EmbeddingMatrix(np.array([[np.nan]], dtype=np.float32))
 
-    @pytest.mark.parametrize("check", [EmbeddingMatrix, lambda v: kmeans(v, 1, seed=0)],
-                             ids=["EmbeddingMatrix", "kmeans"])
+    @pytest.mark.parametrize("check", [
+        EmbeddingMatrix, lambda v: kmeans(v, 1, seed=0), codebook,
+        lambda v: codebook(np.zeros_like(v), v), lambda v: load_word2vec_text(w2v_of(v)),
+    ], ids=["EmbeddingMatrix", "kmeans", "means", "variances", "word2vec"])
     @pytest.mark.parametrize("at", [0, 5, 11])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_each_non_finite_value_anywhere(self, check, at, value):
         v = np.linspace(-1, 1, 12, dtype=np.float32)
         v[at] = value
-        with pytest.raises(DataError, match="non-finite"):
+        # a floating-point warning would be an error here, on any numpy
+        with np.errstate(all="raise"), pytest.raises(DataError, match="non-finite"):
             check(v.reshape(3, 4))
+
+    def test_rejects_value_beyond_binary32(self):
+        # casts to inf: a data error, with no overflow warning
+        with pytest.raises(DataError, match="non-finite"):
+            EmbeddingMatrix(np.array([[1e300, 1.0]]))
 
     def test_finiteness_check_makes_no_mask(self):
         # a bool mask of the matrix would be a quarter of its float32 bytes

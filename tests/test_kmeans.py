@@ -160,10 +160,25 @@ def test_more_clusters_than_distinct_points():
     lambda: kmeans_best_of(np.zeros((2, 1)), 1, seed=0, restarts=0),
     lambda: kmeans(np.zeros(3), 1, seed=0),
     lambda: kmeans(np.zeros((5, 0)), 1, seed=0),
+    # a stream takes its seed mod 2**64, so one outside would alias one inside
+    lambda: kmeans(np.zeros((2, 1)), 1, seed=-1),
+    lambda: kmeans(np.zeros((2, 1)), 1, seed=2**64),
+    lambda: kmeans_best_of(np.zeros((2, 1)), 1, seed=-1),
+    lambda: kmeans_best_of(np.zeros((2, 1)), 1, seed=2**64),
 ])
 def test_errors(bad):
     with pytest.raises(DataError):
         bad()
+
+
+def test_restart_seeds_wrap():
+    pts = np.random.default_rng(6).normal(size=(30, 2))
+    last, first = kmeans(pts, 4, 2**64 - 1), kmeans(pts, 4, 0)
+    best = min((last, first), key=lambda res: res.objective)
+    res = kmeans_best_of(pts, 4, 2**64 - 1, restarts=2)
+    assert np.array_equal(res.centroids, best.centroids)
+    assert np.array_equal(res.assignments, best.assignments)
+    assert res.objective == best.objective
 
 
 @pytest.mark.parametrize("d", [1, 2, 16])
