@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from . import codec, embio, metrics, quantizer, rwe
+from . import codec, embio, metrics, quantizer, rng, rwe
 from .errors import DataError, FormatError
 from .quantizer import PartitionKind, PartitionScheme, ReconstructMode
 
@@ -58,11 +58,11 @@ def _print_report(report, fmt: str):
 
 
 def _seed(text: str) -> int:
-    """argparse type of every --seed: an integer in [0, 2**64)."""
-    seed = int(text)
-    if not 0 <= seed < 2**64:
-        raise argparse.ArgumentTypeError(f"{seed} is outside [0, 2**64)")
-    return seed
+    """argparse type of every --seed: an integer that rng.check_seed takes."""
+    try:
+        return rng.check_seed(int(text))
+    except DataError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _quantize(e, args, g: int, c: int):

@@ -80,6 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embio import to_float32
 from .errors import DataError, check_finite
 from .rng import SplitMix64, check_seed, row_hashes
 
@@ -141,12 +142,13 @@ def _seed(cols: np.ndarray, c: int, seed: int) -> np.ndarray:
         if not total > 0:
             idx = int(u * m)  # step 0, or fewer distinct points than centers; u * m < m
         else:
-            # an overflowed total is reached, not exceeded
-            target, side = (u * total, "right") if total < np.inf else (total, "left")
-            b = int(np.searchsorted(cum, target, side))
+            # points within binary32 range keep the total finite, and the
+            # first point whose cumulative d2 exceeds the target is picked
+            target = u * total
+            b = int(np.searchsorted(cum, target, "right"))
             run = np.cumsum(d2[b * block:(b + 1) * block], out=buf[:block])
             run += cum[b - 1] if b else 0.0  # cum[b] is its last entry, bit for bit
-            idx = b * block + int(np.searchsorted(run, target, side))
+            idx = b * block + int(np.searchsorted(run, target, "right"))
         centers[step] = center = cols[:, idx].tolist()
         if step and not total > 0:
             continue  # every d2 is already 0
@@ -333,9 +335,10 @@ def _repair_empty(pts, assign, centroids, counts):
 
 def kmeans(points, c: int, seed: int) -> ClusterResult:
     """Lloyd iterations from k-means++ seeding, a pure function of (points,
-    c, seed). Stops after DEFAULT_MAX_ITER iterations or once the objective
-    improves by DEFAULT_REL_TOL of itself or less, or does not fall, as when
-    no assignment changes; repairs empty clusters only when there are some.
+    c, seed); a point beyond binary32 range is a DataError. Stops after
+    DEFAULT_MAX_ITER iterations or once the objective improves by
+    DEFAULT_REL_TOL of itself or less, or does not fall, as when no
+    assignment changes; repairs empty clusters only when there are some.
 
     An iteration holds runs of the sorted points (d == 1, no cluster empty;
     labels is None), updated by _run_moments, or labels in input order
@@ -350,7 +353,9 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
     if c > m:
         raise DataError(f"cluster count {c} exceeds point count {m}")
     check_seed(seed)
-    check_finite(pts, "points contain non-finite values")
+    # binary32 range bounds every float64 sum here by m d (2 FLT_MAX)^2, far
+    # from overflow; no codebook could store a mean beyond it
+    check_finite(to_float32([pts.min(), pts.max()]), "points contain non-finite values")
 
     cols = _canonical(pts, seed)
     centroids = _seed(cols, c, seed)

@@ -172,7 +172,6 @@ def partition(e: EmbeddingMatrix, scheme: PartitionScheme) -> np.ndarray:
 def _compress(e: EmbeddingMatrix, scheme: PartitionScheme, c: int, seed: int,
               restarts: int, with_vars: bool) -> QuantizedEmbedding:
     compute_size_report(e.rows, e.cols, scheme, c, with_vars)  # checks c and g up front
-    check_seed(seed)
     blocks = partition(e, scheme)
     if c > blocks.shape[1]:
         raise DataError(f"cluster count {c} exceeds {blocks.shape[1]} sub-vectors per codebook")
@@ -218,7 +217,7 @@ def reconstruct(q: QuantizedEmbedding, mode: ReconstructMode = ReconstructMode.M
     if mode is ReconstructMode.SAMPLE:
         if q.codebook_vars is None:
             raise DataError("sample mode requires a variance table")
-        rng = SplitMix64(check_seed(seed))
+        rng = SplitMix64(seed)
         z = rng.normals(q.codebook_means.size).reshape(q.codebook_means.shape)
         book = (q.codebook_means.astype(np.float64)
                 + np.sqrt(q.codebook_vars.astype(np.float64)) * z).astype(np.float32)

@@ -11,8 +11,7 @@ import numpy as np
 
 from .errors import DataError
 
-_MASK = 0xFFFFFFFFFFFFFFFF
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
@@ -20,22 +19,21 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / 9007199254740992.0
 
 
-def mix64(x):
-    """splitmix64 finalizer, elementwise over uint64 arrays or scalars.
-    uint64 arithmetic wraps mod 2^64 by design."""
-    with np.errstate(over="ignore"):
-        z = np.array(x, dtype=np.uint64)
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
-        return z
+def mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of the uint64 array z, in place; returns z.
+    uint64 array arithmetic wraps mod 2^64 by design, and numpy raises no
+    warning on it."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def check_seed(seed: int) -> int:
-    """seed, if it is in [0, 2**64); else a DataError, as a stream takes its
-    seed mod 2**64 and would alias one in range."""
+    """seed, if it is in [0, 2**64); else a DataError. Every stream and hash
+    here checks its seed, so none is taken mod 2**64 to alias one in range."""
     if not 0 <= seed < 2**64:
         raise DataError(f"seed {seed} does not fit unsigned 64 bits")
     return seed
@@ -47,11 +45,11 @@ def derive_seed(seed: int, *parts: int) -> int:
     Used for per-group and per-restart streams so concurrent work is
     schedule-independent.
     """
-    h = np.uint64(seed & _MASK)
+    h = np.array([check_seed(seed)], dtype=np.uint64)
     for p in parts:
-        with np.errstate(over="ignore"):
-            h = mix64(h + _GOLDEN * np.uint64(p & _MASK) + _GOLDEN)
-    return int(mix64(h))
+        h += _GOLDEN * (p + 1) % 2**64  # gamma p + gamma, summed as a Python int
+        mix64(h)
+    return int(mix64(h)[0])
 
 
 def row_hashes(points: np.ndarray, seed: int) -> np.ndarray:
@@ -62,9 +60,10 @@ def row_hashes(points: np.ndarray, seed: int) -> np.ndarray:
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     bits = pts.view(np.uint64)
-    h = np.full(pts.shape[0], mix64(np.uint64(seed & _MASK)), dtype=np.uint64)
+    h = mix64(np.full(pts.shape[0], check_seed(seed), dtype=np.uint64))
     for j in range(pts.shape[1]):
-        h = mix64(h ^ bits[:, j])
+        h ^= bits[:, j]
+        mix64(h)
     return h
 
 
@@ -72,16 +71,18 @@ class SplitMix64:
     """Counter-based splitmix64 stream with uniform and Gaussian output."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(seed & _MASK)
+        self._seed = check_seed(seed)
         self._ctr = 0
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1), from counters ctr + 1 ... ctr + n."""
-        ctr = np.arange(self._ctr + 1, self._ctr + n + 1, dtype=np.uint64)
+        bits = np.arange(self._ctr + 1, self._ctr + n + 1, dtype=np.uint64)
         self._ctr += n
-        with np.errstate(over="ignore"):
-            bits = mix64(self._seed + _GOLDEN * ctr)
-        return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        bits *= _GOLDEN
+        bits += self._seed
+        mix64(bits)
+        bits >>= np.uint64(11)
+        return bits.astype(np.float64) * _INV_2_53
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal deviates via the Box-Muller transform."""

@@ -49,7 +49,7 @@ def projection_init(n: int, m: int, seed: int) -> np.ndarray:
         raise DataError("projection dimensions must be >= 1")
     check_nbytes(8 * n * m, f"a {n}x{m} float64 matrix")
     bound = math.sqrt(6.0 / (n + m))
-    rng = SplitMix64(derive_seed(check_seed(seed), n, m))
+    rng = SplitMix64(derive_seed(seed, n, m))
     u = rng.uniforms(n * m).reshape(n, m)
     return ((2.0 * u - 1.0) * bound).astype(np.float32)
 

@@ -8,10 +8,12 @@ value among the runs' first values, k-means++ seeding over the whole array at
 once (only the row hashes, the uniform stream and the mass block size are
 shared with the library), index bits through a count x bits shift table,
 word2vec text by one float() per value, top-k neighbours by a float64 table
-of every block's scores and argpartition, and the RMSE and mean cosine from
-whole float64 copies of both matrices.
+of every block's scores and argpartition, the RMSE and mean cosine from
+whole float64 copies of both matrices, and splitmix64 (Steele, Lea & Flood
+2014) in Python integers from its published constants.
 """
 
+import struct
 from typing import BinaryIO
 
 import numpy as np
@@ -19,6 +21,46 @@ import numpy as np
 from gpq import DataError, EmbeddingMatrix, FormatError
 from gpq.kmeans import _MASS_BLOCK
 from gpq.rng import SplitMix64, row_hashes
+
+
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z: int) -> int:
+    """The splitmix64 finalizer of one 64-bit integer."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def splitmix64_outputs(seed: int, n: int, skip: int = 0) -> list[int]:
+    """Outputs skip + 1 .. skip + n of splitmix64 from state seed: the state
+    gains the golden gamma before each output is mixed from it."""
+    return [splitmix64_mix((seed + k * _SPLITMIX_GAMMA) % 2**64)
+            for k in range(skip + 1, skip + n + 1)]
+
+
+def splitmix64_uniform(word: int) -> float:
+    """The top 53 bits of a 64-bit output as a double in [0, 1)."""
+    return (word >> 11) / 2.0**53
+
+
+def splitmix64_derive(seed: int, *parts: int) -> int:
+    """A child seed: each part p, in order, is added to the state as gamma
+    times p plus gamma, and the sum mixed; the result is mixed once more."""
+    h = seed
+    for p in parts:
+        h = splitmix64_mix((h + _SPLITMIX_GAMMA * p + _SPLITMIX_GAMMA) % 2**64)
+    return splitmix64_mix(h)
+
+
+def splitmix64_row_hash(row, seed: int) -> int:
+    """Hash of one row of floats: the mixed seed, then each value's binary64
+    bits XORed in and mixed, in column order."""
+    h = splitmix64_mix(seed)
+    for x in row:
+        h = splitmix64_mix(h ^ struct.unpack("<Q", struct.pack("<d", float(x)))[0])
+    return h
 
 
 def brute_force_kmeans_objective(points, c: int) -> float:
@@ -143,8 +185,8 @@ def brute_force_sorted_plus_plus(points, c: int, seed: int, block: int) -> np.nd
     of `block`, get running sums within each block and running sums of the
     block totals; the pick is the first block whose running total exceeds u
     times the total, then the first point of it whose running sum plus the
-    previous blocks' total exceeds it. An infinite total is reached instead
-    of exceeded."""
+    previous blocks' total exceeds it. The total is finite: kmeans takes
+    only points within binary32 range."""
     pts = np.asarray(points, dtype=np.float64)
     m, d = pts.shape
     pts = (np.sort(pts, axis=0) if d == 1
@@ -161,10 +203,7 @@ def brute_force_sorted_plus_plus(points, c: int, seed: int, block: int) -> np.nd
             runs = np.cumsum(np.append(d2, np.zeros(-m % block)).reshape(-1, block), axis=1)
             totals = np.cumsum(runs[:, -1])
             total = totals[-1]
-            if total == np.inf:
-                b = int(np.argmax(totals == np.inf))
-                idx = b * block + int(np.argmax((totals[b - 1] if b else 0.0) + runs[b] == np.inf))
-            elif total > 0:
+            if total > 0:
                 target = u * total
                 b = int(np.argmax(totals > target))
                 idx = b * block + int(np.argmax((totals[b - 1] if b else 0.0) + runs[b] > target))

@@ -1,9 +1,11 @@
 import importlib
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
+import textwrap
 import zlib
 from pathlib import Path
 
@@ -330,6 +332,40 @@ def cli_process(*argv, **env) -> subprocess.CompletedProcess:
     """Run the CLI in a child process, so that anything written to stderr,
     warnings included, reaches the captured stderr."""
     return python_process("-m", "gpq.cli", *argv, **env)
+
+
+def workflow_step_script(name: str) -> str:
+    """The `run: |` block of the step called name in the tests workflow,
+    dedented: the lines after `run: |` that are blank or indented deeper
+    than it. Read by indentation, so no YAML library is needed."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    lines = workflow.read_text(encoding="utf-8").splitlines()
+    step = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {name}")
+    run = next(i for i in range(step + 1, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    block = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block)) + "\n"
+
+
+def test_workflow_console_script_step(tmp_path):
+    # the step as GitHub's `shell: bash` runs it, with `gpq` a shell function
+    # for this checkout's `python -m gpq.cli` in place of the installed entry
+    # point; its must_fail checks fail the step when their contract breaks
+    script = workflow_step_script("Console script")
+    assert "must_fail --input" in script
+    src = str(Path(gpq.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
+    shim = (f'gpq() {{ PYTHONPATH={shlex.quote(pythonpath)} '
+            f'{shlex.quote(sys.executable)} -m gpq.cli "$@"; }}\n')
+    (tmp_path / "step.sh").write_text(shim + script, encoding="utf-8")
+    proc = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "step.sh"],
+                          cwd=tmp_path, env={**os.environ, "RUNNER_TEMP": str(tmp_path)},
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
 def test_cli_imports_only_stdlib_and_numpy():

@@ -160,15 +160,28 @@ def test_more_clusters_than_distinct_points():
     lambda: kmeans_best_of(np.zeros((2, 1)), 1, seed=0, restarts=0),
     lambda: kmeans(np.zeros(3), 1, seed=0),
     lambda: kmeans(np.zeros((5, 0)), 1, seed=0),
-    # a stream takes its seed mod 2**64, so one outside would alias one inside
+    # no seed is taken mod 2**64, where one outside would alias one inside
     lambda: kmeans(np.zeros((2, 1)), 1, seed=-1),
     lambda: kmeans(np.zeros((2, 1)), 1, seed=2**64),
     lambda: kmeans_best_of(np.zeros((2, 1)), 1, seed=-1),
     lambda: kmeans_best_of(np.zeros((2, 1)), 1, seed=2**64),
+    # points beyond binary32 range, whose squares and sums could overflow
+    *[lambda f=f, pts=pts: f(np.array(pts), 2, seed=0)
+      for f in (kmeans, kmeans_best_of)
+      for pts in ([[1.5e308], [1.6e308], [-1e308], [0.0]], [[1e308], [-1e308], [0.0]],
+                  [[1e308, 0], [-1e308, 0], [0, 0]])],
 ])
 def test_errors(bad):
-    with pytest.raises(DataError):
+    with np.errstate(all="raise"), pytest.raises(DataError):
         bad()
+
+
+def test_points_at_binary32_range_cluster():
+    pts = np.array([[3.4e38], [-3.4e38], [0.0]])
+    with np.errstate(all="raise"):
+        for res in (kmeans(pts, 2, seed=0), kmeans_best_of(pts, 2, seed=0, restarts=2)):
+            check_result_invariants(pts, res, 2)
+            assert np.isfinite(res.objective)
 
 
 def test_restart_seeds_wrap():
@@ -615,7 +628,7 @@ def test_plus_plus_memory_bound():
         assert traced_peak(seed_of, pts, 4, 1) < (d + 2.2) * m * 8, d
 
 
-@pytest.mark.parametrize("kind",["duplicates", "blocks", "few_distinct", "overflow"])
+@pytest.mark.parametrize("kind",["duplicates", "blocks", "few_distinct"])
 def test_sorted_seeding_matches_oracle(mass_block, kind):
     rng = np.random.default_rng(3)
     if kind == "duplicates":  # 13 distinct values, many repeated
@@ -623,16 +636,13 @@ def test_sorted_seeding_matches_oracle(mass_block, kind):
     elif kind == "blocks":  # three default blocks and a partial one, heavy-tailed
         pts, c = rng.normal(size=(3 * 4096 + 5, 1)), 12
         pts *= np.exp(rng.normal(size=pts.shape))
-    elif kind == "few_distinct":  # from step 3 on every d2 is 0
+    else:  # from step 3 on every d2 is 0
         pts, c = np.array([[2.5], [-1.0], [2.5], [7.0], [-1.0]] * 4), 8
-    else:  # squares and their sum overflow to inf
-        pts, c = np.array([[-1.5e308], [-1e300], [0.0], [1e200], [1e300], [1.5e308]] * 2), 5
-    with np.errstate(over="ignore"):
-        for d in (1, 2, 16):
-            for seed in range(4):
-                got = seed_of(lift(pts, d), c, seed)
-                want = brute_force_sorted_plus_plus(lift(pts, d), c, seed, mass_block)
-                assert np.array_equal(got, want), (d, seed)
+    for d in (1, 2, 16):
+        for seed in range(4):
+            got = seed_of(lift(pts, d), c, seed)
+            want = brute_force_sorted_plus_plus(lift(pts, d), c, seed, mass_block)
+            assert np.array_equal(got, want), (d, seed)
 
 
 def test_sorted_seeding_never_picks_zero_weight(mass_block):

@@ -90,7 +90,7 @@ def test_zero_row_resampled(monkeypatch):
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_64_bits_is_data_error(seed):
-    # a stream takes its seed mod 2**64, so these would alias 2**64 - 1 and 0
+    # taken mod 2**64, these would alias 2**64 - 1 and 0; no stream does that
     with pytest.raises(DataError, match="64 bits"):
         RweConfig(4, 4, seed)
     with pytest.raises(DataError, match="64 bits"):
