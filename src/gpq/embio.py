@@ -52,11 +52,18 @@ class EmbeddingMatrix:
             if len(self.vocab) != v.shape[0]:
                 raise DataError(
                     f"vocab length {len(self.vocab)} != row count {v.shape[0]}")
+            # one C-speed scan, which fails on any token that is not a str
+            # (before set(), which fails on an unhashable one)
+            try:
+                joined = "".join(self.vocab)
+            except TypeError:
+                token = next(t for t in self.vocab if not isinstance(t, str))
+                raise DataError(f"token {token!r} is not a str") from None
             tokens = set(self.vocab)
             if len(tokens) != len(self.vocab):
                 raise DataError("vocab contains duplicate tokens")
-            # one C-speed scan; \s matches exactly what str.isspace does
-            if "" in tokens or re.search(r"\s", "".join(self.vocab)):
+            # \s matches exactly what str.isspace does
+            if "" in tokens or re.search(r"\s", joined):
                 token = next(t for t in self.vocab if not t or re.search(r"\s", t))
                 raise DataError(f"token {token!r} is empty or contains whitespace")
 

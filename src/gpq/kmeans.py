@@ -17,22 +17,24 @@ of two kernels, chosen from the point dimension d alone:
   the sorted points: O(c log m), and the c+1 run edges are the whole
   assignment. Counts are run lengths. The update reads the sum, mean and
   M2 (sum of squared deviations from the mean) of every block of B =
-  isqrt(m // c) sorted points, computed once after the sort. A run's sum
-  adds the sums of the blocks wholly inside it to the values of its two
-  ends, the fewer than 2B values outside those blocks. Its SSE adds each
-  such block's M2 plus B times the squared offset of the block mean from
+  isqrt(m // c) sorted points, computed once after the sort. A block is
+  whole when the run that holds its first value also holds its last; every
+  other value is loose: those of the blocks split between runs (at most
+  one per run edge), then those of the partial last block. A run's sum
+  adds the sums of its whole blocks to its loose values. Its SSE adds each
+  whole block's M2 plus B times the squared offset of the block mean from
   the run mean (the pairwise update of Chan, Golub & LeVeque, 1979) to the
-  squared deviations of its ends from the run mean, so no S2 - S1^2/n is
-  ever formed. All runs are done at once, in O(m/B + c B), with no m-long
-  temporary. Labels reach input order only after the loop, or when a
-  cluster is empty (fewer distinct values than clusters), where the update
-  runs as for d > 1. A point takes the label of the last run whose first
-  value it reaches, read through a monotone bucket map b(x) = int((x -
-  xs[0]) * scale) of 2^14 buckets over [xs[0], xs[-1]]: a bucket that holds
-  no run start lies wholly between two starts, so its points share one
-  label, from a table; only points in a bucket that holds a start are
-  binary-searched among the starts. The labels are those of a search of
-  every point, and only they grow with m.
+  squared deviations of its loose values from the run mean, so no S2 -
+  S1^2/n is ever formed. All runs are done at once, in O(m/B + c B), with
+  no m-long temporary. Labels reach input order only after the loop, or
+  when a cluster is empty (fewer distinct values than clusters), where the
+  update runs as for d > 1. A point takes the label of the last run whose
+  first value it reaches, read through a monotone bucket map b(x) =
+  int((x - xs[0]) * scale) of 2^14 buckets over [xs[0], xs[-1]]: a bucket
+  that holds no run start lies wholly between two starts, so its points
+  share one label, from a table; only points in a bucket that holds a
+  start are binary-searched among the starts. The labels are those of a
+  search of every point, and only they grow with m.
 - d > 1: argmin of ||c||^2 - 2 x.c over blocks of 2^20 // (8 c) points,
   about 1 MiB of float64 scores, so the block size follows from c alone
   and no temporary grows with m. "Nearest" means by that score in
@@ -278,27 +280,24 @@ def _run_moments(xs: np.ndarray, block: int,
                  moments: tuple[np.ndarray, np.ndarray, np.ndarray],
                  edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(means, SSE) of the non-empty runs xs[edges[i]:edges[i + 1]], given
-    moments = _block_moments(xs, block). A run's sum and SSE combine the
-    moments of the blocks wholly inside it with a two-pass sum over its two
-    ends, the values outside those blocks."""
+    moments = _block_moments(xs, block). Block b is whole when the run that
+    holds its first value also holds its last; every other value is loose:
+    those of the split blocks, then those of the partial last block. A run's
+    sum and SSE combine the moments of its whole blocks with a two-pass sum
+    over its loose values, in ascending position."""
     sums, block_means, m2 = moments
     runs = edges.size - 1
-    lo, hi = edges[:-1], edges[1:]
-    # the run that holds each block whole, or runs for one split between two
+    # the run that holds each block's first value, or runs for a split block;
+    # a position's run comes from the run edges searched into sorted positions
     starts = np.arange(sums.size) * block
-    owner = np.searchsorted(hi, starts, "right")
-    owner[hi[owner] - starts < block] = runs
-    # the ends [lo, left) and [right, hi), gathered in one pass
-    left = np.minimum(-(-lo // block) * block, hi)
-    right = np.maximum(hi // block * block, left)
-    seg_lo = np.stack([lo, right], axis=1).ravel()
-    seg_len = np.stack([left - lo, hi - right], axis=1).ravel()
-    offsets = np.cumsum(seg_len) - seg_len
-    ends = xs[np.arange(offsets[-1] + seg_len[-1]) + np.repeat(seg_lo - offsets, seg_len)]
-    end_run = np.repeat(np.arange(runs).repeat(2), seg_len)
+    owner = np.repeat(np.arange(runs), np.diff(np.searchsorted(starts, edges)))
+    owner[edges[owner + 1] - starts < block] = runs
+    at = np.concatenate(((starts[owner == runs, None] + np.arange(block)).ravel(),
+                         np.arange(starts.size * block, xs.size)))
+    ends, end_run = xs[at], np.repeat(np.arange(runs), np.diff(np.searchsorted(at, edges)))
 
     means = (np.bincount(owner, weights=sums, minlength=runs + 1)[:runs]
-             + np.bincount(end_run, weights=ends, minlength=runs)) / (hi - lo)
+             + np.bincount(end_run, weights=ends, minlength=runs)) / np.diff(edges)
     # a block adds its M2 plus its size times its mean's squared offset from
     # the run mean (Chan, Golub & LeVeque 1979); S2 - S1^2/n is never formed
     dev = block_means - np.append(means, 0.0)[owner]
@@ -361,8 +360,8 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
     centroids = _seed(cols, c, seed)
     if d == 1:
         xs = cols[0]  # pts[:, 0] in ascending order
-        # balances an update's m / block whole blocks against its < 2 c
-        # block end values
+        # balances an update's m / block blocks against its < c block
+        # loose values
         block = math.isqrt(m // c)
         moments = _block_moments(xs, block)
     del cols  # when d > 1, an m x d copy that Lloyd does not read

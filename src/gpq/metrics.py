@@ -212,7 +212,10 @@ def _rmse(a: np.ndarray, b: np.ndarray) -> float:
 def fidelity_against(e: EmbeddingMatrix, k: int):
     """fidelity(e, r, k) as a function of r. The original's top-k lists are
     ranked on the first call and reused by every later one, so a sweep
-    ranks its original once."""
+    ranks its original once. A k out of range is a DataError at once, before
+    any reconstruction is made for it."""
+    if not 1 <= k < e.rows:
+        raise DataError(f"k={k} out of range [1, {e.rows})")
     nn_e = None
 
     def report(r: EmbeddingMatrix) -> FidelityReport:
@@ -220,8 +223,6 @@ def fidelity_against(e: EmbeddingMatrix, k: int):
         if e.values.shape != r.values.shape:
             raise DataError(
                 f"shape mismatch: {e.values.shape} vs {r.values.shape}")
-        if not 1 <= k < e.rows:
-            raise DataError(f"k={k} out of range [1, {e.rows})")
 
         rmse = _rmse(e.values, r.values)
         mean_cosine = _mean_cosine(e.values, r.values, _block_rows(e.rows))

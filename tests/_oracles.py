@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: clustering by
 exhaustive assignment enumeration, the 1-D optimum by dynamic programming
 over the sorted values, nearest centroids by explicit differences,
 neighbors by a full cosine table, d = 1 labels by one binary search per
-value among the runs' first values, k-means++ seeding over the whole array at
-once (only the row hashes, the uniform stream and the mass block size are
+value among the runs' first values, the d = 1 update from each run's two
+end segments around its whole blocks, k-means++ seeding over the whole
+array at once (only the row hashes, the uniform stream and the mass block size are
 shared with the library), index bits through a count x bits shift table,
 word2vec text by one float() per value, top-k neighbours by a float64 table
 of every block's scores and argpartition, the RMSE and mean cosine from
@@ -257,6 +258,45 @@ def searchsorted_value_labels(values, xs, labels, edges) -> np.ndarray:
     inner = edges[1:-1]
     firsts = np.where(inner < xs.size, xs[np.minimum(inner, xs.size - 1)], np.inf)
     return labels[np.searchsorted(firsts, values, "right")]
+
+
+def segment_run_moments(xs: np.ndarray, block: int,
+                        moments: tuple[np.ndarray, np.ndarray, np.ndarray],
+                        edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(means, SSE) of the non-empty runs xs[edges[i]:edges[i + 1]], given
+    moments = _block_moments(xs, block), with each run's values outside its
+    whole blocks found by end-segment arithmetic: [lo, left) and [right, hi)
+    around the blocks wholly inside it. It feeds the same bincounts in the
+    same order as the library's _run_moments, so it is a bit-exact referee."""
+    sums, block_means, m2 = moments
+    runs = edges.size - 1
+    lo, hi = edges[:-1], edges[1:]
+    # the run that holds each block whole, or runs for one split between two
+    starts = np.arange(sums.size) * block
+    owner = np.searchsorted(hi, starts, "right")
+    owner[hi[owner] - starts < block] = runs
+    # the ends [lo, left) and [right, hi), gathered in one pass
+    left = np.minimum(-(-lo // block) * block, hi)
+    right = np.maximum(hi // block * block, left)
+    seg_lo = np.stack([lo, right], axis=1).ravel()
+    seg_len = np.stack([left - lo, hi - right], axis=1).ravel()
+    offsets = np.cumsum(seg_len) - seg_len
+    ends = xs[np.arange(offsets[-1] + seg_len[-1]) + np.repeat(seg_lo - offsets, seg_len)]
+    end_run = np.repeat(np.arange(runs).repeat(2), seg_len)
+
+    means = (np.bincount(owner, weights=sums, minlength=runs + 1)[:runs]
+             + np.bincount(end_run, weights=ends, minlength=runs)) / (hi - lo)
+    # a block adds its M2 plus its size times its mean's squared offset from
+    # the run mean (Chan, Golub & LeVeque 1979); S2 - S1^2/n is never formed
+    dev = block_means - np.append(means, 0.0)[owner]
+    dev *= dev
+    dev *= block
+    dev += m2
+    ends -= means[end_run]
+    ends *= ends
+    sse = (np.bincount(owner, weights=dev, minlength=runs + 1)[:runs]
+           + np.bincount(end_run, weights=ends, minlength=runs))
+    return means, sse
 
 
 def pack_indices(values: np.ndarray, bits: int) -> bytes:

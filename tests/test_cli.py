@@ -285,6 +285,23 @@ def test_sweep_bad_config_is_data_error(capsys, w2v_file):
     assert err == "error: data: bad --config '8-16', expected G:C\n"
 
 
+def test_sweep_rejects_k_before_clustering(tmp_path, capsys, monkeypatch):
+    # k is checked when the sweep's fidelity is set up, so a k out of range
+    # costs no compress; at paper size one is about a second of clustering
+    compressed = []
+    compress = quantizer.gpq_compress
+    monkeypatch.setattr(quantizer, "gpq_compress",
+                        lambda *a, **kw: compressed.append(a) or compress(*a, **kw))
+    src = tmp_path / "e.raw"
+    with open(src, "wb") as f:
+        embio.save_raw(gpq.rwe_generate(gpq.RweConfig(64, 8, 0)), f)
+    code, out, err = run(capsys, "sweep", "--input", str(src), "--format", "raw",
+                         "--rows", "64", "--cols", "8", "--config", "2:4", "--config", "4:8",
+                         "-k", "64")
+    assert (code, out, err) == (3, "", "error: data: k=64 out of range [1, 64)\n")
+    assert compressed == []
+
+
 def test_exit_code_data_error(tmp_path, capsys, w2v_file):
     src, _ = w2v_file
     code, _, err = run(capsys, "compress", "--input", str(src),
@@ -356,7 +373,8 @@ def test_workflow_console_script_step(tmp_path):
     # for this checkout's `python -m gpq.cli` in place of the installed entry
     # point; its must_fail checks fail the step when their contract breaks
     script = workflow_step_script("Console script")
-    assert "must_fail --input" in script
+    assert script.count('must_fail "$RUNNER_TEMP/nan.gpqe" compress --input') == 2
+    assert 'must_fail "" sweep --input' in script
     src = str(Path(gpq.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH", "")]))
     shim = (f'gpq() {{ PYTHONPATH={shlex.quote(pythonpath)} '

@@ -281,6 +281,16 @@ class TestEmbeddingMatrix:
             with pytest.raises(DataError, match="whitespace"):
                 EmbeddingMatrix(np.zeros((1, 1), dtype=np.float32), [token])
 
+    @pytest.mark.parametrize("vocab, token", [
+        ([1, 2], "1"), (["a", None], "None"), ([b"a", b"b"], "b'a'"), (["a", 3.0], "3.0"),
+        (["a", ["b"]], "['b']"), (["a b", "a b", 7], "7")])
+    def test_rejects_token_not_str(self, vocab, token):
+        # checked before the duplicate and whitespace checks (the last case
+        # fails both), and before hashing: a list token is unhashable
+        with pytest.raises(DataError) as err:
+            EmbeddingMatrix(np.zeros((len(vocab), 1), dtype=np.float32), vocab)
+        assert str(err.value) == f"token {token} is not a str"
+
     def test_vocab_is_copied(self):
         # the tokens are checked once, here: the caller's list may change later
         vocab = ["a", "b"]

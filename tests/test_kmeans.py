@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import gpq.kmeans as KMEANS
-from gpq import DataError, kmeans_best_of
+from gpq import DataError, RweConfig, kmeans_best_of, rwe_generate
 from gpq.kmeans import (_BUCKETS, _CHUNK_ROWS, _LOOKUP_CHUNK, _assign_dense, _assign_sorted,
                         _block_moments, _canonical, _run_moments, _run_starts, _seed,
                         _value_labels, kmeans)
@@ -15,7 +16,7 @@ from gpq.rng import SplitMix64
 from _memory import traced_peak
 from _oracles import (brute_force_kmeans_objective, brute_force_nearest,
                       brute_force_sorted_plus_plus, optimal_kmeans_1d_objective, plain_lloyd,
-                      searchsorted_value_labels)
+                      searchsorted_value_labels, segment_run_moments)
 
 
 def check_result_invariants(pts, res, c):
@@ -369,6 +370,71 @@ def test_run_moments_match_two_pass(kind):
         assert abs(means[i] - ref_means[i]) <= dmean
         assert abs(sse[i] - ref_sse[i]) <= (n * eps * (ref_sse[i] + 2 * block * spread * amax)
                                             + n * dmean**2)
+
+
+def checked_by_referee(run_moments):
+    """(checked, calls): checked calls run_moments and asserts its means and
+    SSE bit for bit equal to segment_run_moments' on the same arguments;
+    calls lists the arguments of every call."""
+    calls = []
+
+    def checked(*args):
+        got, ref = run_moments(*args), segment_run_moments(*args)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+        calls.append(args)
+        return got
+    return checked, calls
+
+
+@pytest.mark.parametrize("kind", ["short", "ragged", "inside", "aligned", "unit", "one_run",
+                                  "offset"])
+def test_run_moments_bits_match_referee_on_two_pass_cases(monkeypatch, kind):
+    # the inputs of test_run_moments_match_two_pass, whose tolerances do not
+    # pin bits
+    checked, calls = checked_by_referee(_run_moments)
+    monkeypatch.setattr(sys.modules[__name__], "_run_moments", checked)
+    test_run_moments_match_two_pass(kind)
+    assert len(calls) == 1
+
+
+def test_run_moments_bits_match_referee_on_random_cases():
+    # m in 1-400, B in 1-40, up to 12 runs whose inner edges are block
+    # starts, values of the partial last block or any position; the counts
+    # below check that every kind of run the ownership rule tells apart occurs
+    checked, _ = checked_by_referee(_run_moments)
+    rng = np.random.default_rng(34)
+    seen = dict.fromkeys(["edge_on_block_start", "run_inside_block", "run_inside_tail",
+                          "m_below_block"], 0)
+    for _ in range(600):
+        m, block = int(rng.integers(1, 401)), int(rng.integers(1, 41))
+        tail = m // block * block
+        inner = set()
+        for _ in range(int(rng.integers(0, 12))):
+            source = [np.arange(block, tail, block), np.arange(tail + 1, m),
+                      np.arange(1, m)][int(rng.integers(3))]
+            if source.size:
+                inner.add(int(rng.choice(source)))
+        edges = np.array([0, *sorted(inner), m])
+        xs = np.sort(rng.normal(size=m))
+        checked(xs, block, _block_moments(xs, block), edges)
+        a, b = edges[:-1], edges[1:]
+        seen["edge_on_block_start"] += bool(np.any((a % block == 0) & (0 < a) & (a < tail)))
+        seen["run_inside_block"] += bool(np.any((a % block > 0) & (b % block > 0)
+                                                & (a // block == b // block) & (b < tail)))
+        seen["run_inside_tail"] += bool(tail > 0 and np.any(a >= tail))
+        seen["m_below_block"] += m < block
+    assert min(seen.values()) >= 20, seen
+
+
+def test_run_moments_bits_match_referee_at_unified_d1_shape(monkeypatch):
+    # every update of the benchmark's unified-d1 shape, RWE 2000 x 64 as 128k
+    # points and c = 50 (2,560 blocks of 50), through to the last iteration's
+    # runs; this run takes all DEFAULT_MAX_ITER iterations
+    pts = rwe_generate(RweConfig(rows=2000, cols=64, seed=1)).values.reshape(-1, 1)
+    checked, calls = checked_by_referee(_run_moments)
+    monkeypatch.setattr(KMEANS, "_run_moments", checked)
+    res = kmeans(pts, 50, seed=5)
+    assert len(calls) == res.iterations
 
 
 def test_float64_duplicates_more_clusters_than_distinct():
