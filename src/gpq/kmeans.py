@@ -61,17 +61,35 @@ of rows alone, up to hash collisions). Step k takes the k-th uniform u in
 [0, 1) of SplitMix64(seed): step 0 picks canonical index floor(u * m),
 every later step the first point whose cumulative d2 (squared distance to
 the nearest chosen center) exceeds u times the total. The cumulative d2 is
-a running sum of the totals of blocks of _MASS_BLOCK points plus a running
-sum inside the chosen block, so it adds non-negative terms only and never
-picks a point of d2 = 0 while the total is positive; at total 0 (fewer
-distinct points than centers) the pick is uniform, as at step 0. Each
-step updates d2 in passes of whole blocks, summing (column_j - center_j)^2
-in coordinate order; that sequential sum equals numpy's row sum for d < 8,
-and above, where numpy sums pairwise, the two may differ by an ulp. When
-d == 1 a new center lowers d2 only strictly between its two chosen
-neighbours, so only those points and their blocks' totals are updated;
-when d > 1 every point is. Beside the canonical copy of the points (and,
-while it is made, the row hashes, then their argsort), only d2 grows with m.
+a running sum of block masses plus a running sum of d2 inside the chosen
+block. A block's mass is positive exactly when one of its d2 is, so no
+point of d2 = 0 is picked while the total is positive: a target past the
+chosen block's running sum (a mass rounded above it) takes the block's
+last point of positive d2. At total 0 (fewer distinct points than
+centers) the pick is uniform, as at step 0.
+
+When d > 1 the blocks are _MASS_BLOCK points, and each step updates an
+m-long d2 in passes of whole blocks, summing (column_j - center_j)^2 in
+coordinate order; that sequential sum equals numpy's row sum for d < 8,
+and above, where numpy sums pairwise, the two may differ by an ulp. A
+block's mass is the running sum of its d2. Beside the canonical copy of
+the points (and, while it is made, the row hashes, then their argsort),
+only d2 grows with m.
+
+When d == 1 the blocks are those of the update's moment table (above),
+built once per kmeans call, and no d2 is stored. A new center x lowers d2
+only in its cell, the sorted positions nearer x than its chosen
+neighbours, whose edges are the midpoints searched into the sorted values.
+A whole block inside the cell takes the mass M2 + B (mean - x)^2 (Chan,
+Golub & LeVeque again), at least its largest d2, which is at one of its
+ends, and 0 when that is 0. The at most two blocks split by the cell's
+edges, and the partial last block, take the running sum of their values'
+d2, each the smaller square to the two chosen centers around it; the pick
+finds the chosen block's d2 the same way. A step costs O(m / B + B), and
+nothing in seeding is m long. The running sums are those of a d2 in blocks
+of B bit for bit; the moment masses round differently, by about
+eps |x| / |mean - x| of themselves: far below the spacing of binary32
+inputs, but large for float64 values a few ulps from a center.
 """
 
 from __future__ import annotations
@@ -89,7 +107,7 @@ from .rng import SplitMix64, check_seed, row_hashes
 DEFAULT_MAX_ITER = 100
 DEFAULT_REL_TOL = 1e-6
 _CHUNK_ROWS = 65536  # points per row-hash block and per d2 update pass of seeding
-_MASS_BLOCK = 4096  # points per d2 total of seeding, in canonical order
+_MASS_BLOCK = 4096  # points per d2 total of seeding at d > 1, in canonical order
 # d == 1 label lookup: buckets of its table and values per pass. At 128k
 # points 2^16 buckets cost more to build than they save (1.7 against 1.1 ms),
 # and 2^12 sends too many values to the search at 16.4M (0.23 against 0.13
@@ -127,58 +145,125 @@ def _canonical(pts: np.ndarray, seed: int) -> np.ndarray:
     return cols
 
 
-def _seed(cols: np.ndarray, c: int, seed: int) -> np.ndarray:
+def _seed(cols: np.ndarray, c: int, seed: int, moments=None) -> np.ndarray:
     """(c, d) k-means++ centers of the points cols = _canonical(pts, seed),
-    picked by D² mass over the canonical order (see the module docstring)."""
+    picked by D² mass over the canonical order (see the module docstring).
+    When d == 1 the masses come from moments = _block_moments(cols[0],
+    _moment_block(m, c)), the table of Lloyd's update, built here if not
+    given."""
     (d, m), block = cols.shape, _MASS_BLOCK
+    if d == 1:
+        return _seed_sorted(cols[0], c, seed, moments)
     d2 = np.full(-(-m // block) * block, np.inf)
     d2[m:] = 0.0  # padding to whole blocks carries no mass
     mass = np.empty(d2.size // block)
     rows = block * max(1, _CHUNK_ROWS // block)  # whole blocks per update pass
-    buf = np.empty(min(rows, d2.size))
-    term = np.empty_like(buf) if d > 1 else None
-    chosen: list[float] = []  # d == 1: distinct center values, ascending
+    buf, term = np.empty(min(rows, d2.size)), np.empty(min(rows, d2.size))
     centers = np.empty((c, d))
     total = 0.0
     for step, u in enumerate(SplitMix64(seed).uniforms(c).tolist()):
         if not total > 0:
             idx = int(u * m)  # step 0, or fewer distinct points than centers; u * m < m
-        else:
-            # points within binary32 range keep the total finite, and the
-            # first point whose cumulative d2 exceeds the target is picked
-            target = u * total
-            b = int(np.searchsorted(cum, target, "right"))
-            run = np.cumsum(d2[b * block:(b + 1) * block], out=buf[:block])
-            run += cum[b - 1] if b else 0.0  # cum[b] is its last entry, bit for bit
-            idx = b * block + int(np.searchsorted(run, target, "right"))
+        else:  # points within binary32 range keep the total finite
+            idx = _pick(cum, u, block, lambda b: d2[b * block:(b + 1) * block])
         centers[step] = center = cols[:, idx].tolist()
         if step and not total > 0:
             continue  # every d2 is already 0
-        lo, hi = 0, m
-        if d == 1:
-            # only the points between the new center's chosen neighbours move
-            xs, x = cols[0], center[0]
-            k = bisect_left(chosen, x)
-            lo = int(np.searchsorted(xs, chosen[k - 1], "right")) if k else 0
-            hi = int(np.searchsorted(xs, chosen[k], "left")) if k < len(chosen) else m
-            chosen.insert(k, x)
-        end = -(-hi // block) * block
-        for s in range(lo // block * block, end, rows):
-            e = min(s + rows, end)
-            p, q = max(lo, s), min(hi, e)
-            near = np.subtract(cols[0, p:q], center[0], out=buf[:q - p])
+        for s in range(0, d2.size, rows):
+            e = min(s + rows, d2.size)
+            q = min(m, e)
+            near = np.subtract(cols[0, s:q], center[0], out=buf[:q - s])
             near *= near
             for j in range(1, d):
-                t = np.subtract(cols[j, p:q], center[j], out=term[:q - p])
+                t = np.subtract(cols[j, s:q], center[j], out=term[:q - s])
                 t *= t
                 near += t
-            np.minimum(d2[p:q], near, out=d2[p:q])
+            np.minimum(d2[s:q], near, out=d2[s:q])
             sums = np.cumsum(d2[s:e].reshape(-1, block), axis=1,
                              out=buf[:e - s].reshape(-1, block))
             mass[s // block:e // block] = sums[:, -1]
         cum = np.cumsum(mass)
         total = float(cum[-1])
     return centers
+
+
+def _pick(cum: np.ndarray, u: float, block: int, d2_of) -> int:
+    """Canonical index of the first point whose cumulative d2 exceeds u times
+    the total cum[-1], given cum, the running sums of the block masses, and
+    d2_of(b), the d2 of block b: the block by cum, then the point by the
+    running sum of its d2 after cum[b - 1]. A block is taken only if its
+    mass is positive. A target at or past the block's last running sum (a
+    mass rounded above it, or u * total rounded up to a subnormal total)
+    takes the block's last point of positive d2."""
+    total = cum[-1]
+    target = u * total
+    b = int(np.searchsorted(cum, target, "right" if target < total else "left"))
+    d2 = d2_of(b)
+    run = np.cumsum(d2)
+    run += cum[b - 1] if b else 0.0
+    i = int(np.searchsorted(run, target, "right"))
+    return b * block + (i if i < d2.size else int(np.flatnonzero(d2)[-1]))
+
+
+def _seed_sorted(xs: np.ndarray, c: int, seed: int, moments) -> np.ndarray:
+    """_seed for ascending values xs: D² mass by block of the moment table,
+    no d2 of m values (see the module docstring)."""
+    m, block = xs.size, _moment_block(xs.size, c)
+    _, means, m2 = _block_moments(xs, block) if moments is None else moments
+    whole = means.size
+    mass = np.zeros(-(-m // block))  # the whole blocks, then the partial last one
+    chosen = [-math.inf, math.inf]  # center values, ascending, between sentinels
+    centers = np.empty((c, 1))
+    total = 0.0
+    for step, u in enumerate(SplitMix64(seed).uniforms(c).tolist()):
+        if not total > 0:
+            idx = int(u * m)  # as in _seed
+        else:
+            idx = _pick(cum, u, block, lambda b: _nearest_d2(xs[b * block:(b + 1) * block], grid))
+        centers[step] = x = float(xs[idx])
+        if step and not total > 0:
+            continue  # every d2 is already 0
+        k = bisect_left(chosen, x)
+        chosen.insert(k, x)
+        grid = np.array(chosen)
+        # x's cell: the positions [lo, hi) whose d2 is now their distance to x
+        lo, hi = _cell_edge(xs, x, chosen[k - 1]), _cell_edge(xs, x, chosen[k + 1])
+        first, last = -(-lo // block), min(hi // block, whole)
+        if first < last:
+            # a whole block in the cell: M2 + B (mean - x)^2 (Chan, Golub &
+            # LeVeque), at least its largest d2, which is at one of its ends,
+            # and exactly 0 when that is 0
+            top = np.maximum((xs[first * block:last * block:block] - x) ** 2,
+                             (xs[first * block + block - 1:last * block:block] - x) ** 2)
+            mass[first:last] = np.maximum(block * (means[first:last] - x) ** 2 + m2[first:last],
+                                          top) * (top > 0)
+        for j in {lo // block, (hi - 1) // block}:
+            if not first <= j < last:  # split by the cell's edge, or the partial last block
+                mass[j] = np.cumsum(_nearest_d2(xs[j * block:(j + 1) * block], grid))[-1]
+        cum = np.cumsum(mass)
+        total = float(cum[-1])
+    return centers
+
+
+def _cell_edge(xs: np.ndarray, x: float, y: float) -> int:
+    """Sorted position where center x's cell meets that of its chosen
+    neighbour y (a sentinel ±inf when there is none). The midpoint of x and y
+    rounds, but no float lies strictly between it and the exact midpoint, so
+    a value past it toward x is at least as near x as y, and one short of it
+    at least as near y as x; values equal to it go to x when they are at
+    least as near x. Between the two edges every d2 is the square to x, and
+    outside them x lowers none."""
+    mid = 0.5 * (x + y)  # ±inf at a sentinel, where either side gives 0 or m
+    nearer_x = (mid - x) * (mid - x) <= (mid - y) * (mid - y)
+    return int(np.searchsorted(xs, mid, "left" if nearer_x == (y < x) else "right"))
+
+
+def _nearest_d2(values: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Squared distance of each value to its nearest chosen center, the
+    centers ascending between -inf and inf sentinels: the smaller square to
+    the two that bracket it, which is the smallest square to any."""
+    k = np.searchsorted(chosen, values)
+    return np.minimum((values - chosen[k - 1]) ** 2, (values - chosen[k]) ** 2)
 
 
 def _assign_dense(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -265,15 +350,29 @@ def _value_labels(values: np.ndarray, starts: tuple[float, float, np.ndarray],
     return out
 
 
+def _moment_block(m: int, c: int) -> int:
+    """Values per block of the d == 1 moment table: balances an update's
+    m / block blocks against its < c block loose values."""
+    return math.isqrt(m // c)
+
+
 def _block_moments(xs: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sums, means, M2) of each whole block of `block` values of xs, M2 the
-    sum of squared deviations from the block mean."""
-    whole = xs[:xs.size // block * block].reshape(-1, block)
-    sums = whole.sum(axis=1)
-    means = sums / block
-    dev = whole - means[:, None]
-    dev *= dev
-    return sums, means, dev.sum(axis=1)
+    sum of squared deviations from the block mean, in passes of the blocks in
+    _CHUNK_ROWS values (at least one block), so no temporary is m long."""
+    n = xs.size // block
+    sums, means, m2 = np.empty(n), np.empty(n), np.empty(n)
+    rows = max(1, _CHUNK_ROWS // block)  # blocks per pass
+    buf = np.empty((min(rows, n), block))
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        whole = xs[s * block:e * block].reshape(-1, block)
+        np.sum(whole, axis=1, out=sums[s:e])
+        np.divide(sums[s:e], block, out=means[s:e])
+        dev = np.subtract(whole, means[s:e, None], out=buf[:e - s])
+        dev *= dev
+        np.sum(dev, axis=1, out=m2[s:e])
+    return sums, means, m2
 
 
 def _run_moments(xs: np.ndarray, block: int,
@@ -357,13 +456,12 @@ def kmeans(points, c: int, seed: int) -> ClusterResult:
     check_finite(to_float32([pts.min(), pts.max()]), "points contain non-finite values")
 
     cols = _canonical(pts, seed)
-    centroids = _seed(cols, c, seed)
+    moments = None
     if d == 1:
         xs = cols[0]  # pts[:, 0] in ascending order
-        # balances an update's m / block blocks against its < c block
-        # loose values
-        block = math.isqrt(m // c)
-        moments = _block_moments(xs, block)
+        block = _moment_block(m, c)
+        moments = _block_moments(xs, block)  # read by seeding and every update
+    centroids = _seed(cols, c, seed, moments)
     del cols  # when d > 1, an m x d copy that Lloyd does not read
     prev_obj = np.inf
     for it in range(1, DEFAULT_MAX_ITER + 1):

@@ -438,6 +438,25 @@ PINNED = {
 }
 
 
+# SHA-256 of the containers of the unified-d1 benchmark shape: RWE 2000x64 at
+# RWE seeds 0-4, gpq, unified, g = 64, c = 50, compress seed 0, so 128,000
+# one-dimensional points and a moment block of 50 values.
+UNIFIED_D1_PINNED = (
+    "089866a3f0c2a32559455ec7f6fe3b06a92adfbece9fbd70324ca585bc227b87",
+    "78fd65cd00f600f5e5257406cb89e712d557194de49abc60224d7a6055a7e801",
+    "9d6aa7688fc54e1855c8e82898f0b5660cd7c9e8d6d2ad9377763ec0ff357cdb",
+    "d9960b93691f19cc382f5b0a9707f7f6a9307b07f063703f1626bab945cf4610",
+    "f3fe54de03bb5aebe6c03bbe6891cd3ceaf9660bcf4e96a79d98817f9d1a9867",
+)
+
+
+@pytest.mark.parametrize("rwe_seed", range(len(UNIFIED_D1_PINNED)))
+def test_unified_d1_pinned_bytes(rwe_seed):
+    e = rwe_generate(RweConfig(rows=2000, cols=64, seed=rwe_seed))
+    q = gpq_compress(e, PartitionScheme(PartitionKind.UNIFIED, 64), 50, seed=0)
+    assert sha256(encode(q)) == UNIFIED_D1_PINNED[rwe_seed]
+
+
 @pytest.mark.parametrize("method, kind", sorted(PINNED))
 def test_pinned_bytes(method, kind):
     compress = gpq_compress if method == "gpq" else pq_compress

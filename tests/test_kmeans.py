@@ -618,7 +618,9 @@ def test_dense_assignment_memory_bound():
 
 @pytest.fixture(params=[None, 1, 3], ids=["default", "block1", "block3"])
 def mass_block(request, monkeypatch):
-    """d2 block size of seeding: the module default, or 1 or 3 points."""
+    """d2 block size of seeding at d > 1: the module default, or 1 or 3
+    points. d = 1 seeding takes its masses from the moment table, so at d = 1
+    this sets only the oracle's block."""
     if request.param is not None:
         monkeypatch.setattr(KMEANS, "_MASS_BLOCK", request.param)
     return KMEANS._MASS_BLOCK
@@ -749,8 +751,8 @@ def test_sorted_seeding_skips_zero_weight_at_u_zero(mass_block, monkeypatch):
 def test_sorted_seeding_ignores_row_order(monkeypatch):
     seeds = []
 
-    def recorded(cols, c, seed):
-        seeds.append(_seed(cols, c, seed))
+    def recorded(*args):
+        seeds.append(_seed(*args))
         return seeds[-1]
 
     monkeypatch.setattr(KMEANS, "_seed", recorded)
@@ -770,8 +772,8 @@ def test_dense_seeding_ignores_row_order(monkeypatch, d):
     # equal up to relabeling and summation order
     seeds = []
 
-    def recorded(cols, c, seed):
-        seeds.append(_seed(cols, c, seed))
+    def recorded(*args):
+        seeds.append(_seed(*args))
         return seeds[-1]
 
     monkeypatch.setattr(KMEANS, "_seed", recorded)
@@ -813,3 +815,162 @@ def test_sorted_seeding_memory_bound():
     m = 4 * _CHUNK_ROWS
     xs = np.sort(np.random.default_rng(0).normal(size=m))
     assert traced_peak(_seed, xs[None], 50, 1) < 1.5 * m * 8
+
+
+def test_sorted_seeding_matches_oracle_at_moment_blocks():
+    # d = 1 seeding takes a whole block's mass from the moment table of
+    # blocks of B = isqrt(m // c) values, and the other blocks' by direct
+    # sums, which are the oracle's at block B bit for bit: only the moment
+    # masses round differently, so the centers must be the same. The cases
+    # are float32 values, heavy-tailed, on a grid of 13 values, or drawn from
+    # a pool, and are counted by the block shapes they reach. With this B,
+    # m < 2 B holds only at m = 1.
+    rng = np.random.default_rng(35)
+    seen = dict.fromkeys(["partial", "one block", "constant", "cell in block"], 0)
+    for case in range(240):
+        m = 1 if case % 10 == 0 else int(np.exp(rng.uniform(np.log(2), np.log(5001))))
+        c = int(rng.integers(1, min(60, m) + 1))
+        if case % 3 == 0:
+            values = rng.normal(size=m) * np.exp(rng.normal(size=m))
+        elif case % 3 == 1:
+            values = rng.integers(-6, 7, size=m) / 4
+        else:
+            pool = rng.normal(size=int(rng.integers(1, m + 1)))
+            values = pool[rng.integers(0, pool.size, size=m)]
+        xs = np.sort(values.astype(np.float32)).astype(np.float64)
+        seed = int(rng.integers(0, 2**63))
+        block, whole = math.isqrt(m // c), m // math.isqrt(m // c)
+        got = _seed(xs[None], c, seed)
+        assert np.array_equal(got, brute_force_sorted_plus_plus(xs[:, None], c, seed, block)), case
+        seen["partial"] += m % block > 0
+        seen["one block"] += m < 2 * block
+        seen["constant"] += block > 1 and bool(np.any(
+            xs[:whole * block:block] == xs[block - 1:whole * block:block]))
+        # a center that lowers d2 only inside one whole block, short of filling it
+        d2, inside = np.full(m, np.inf), False
+        for x in got[:, 0]:
+            new = (xs - x) ** 2
+            low = np.flatnonzero(new < d2)
+            inside |= bool(np.isfinite(d2).all() and 0 < low.size < block
+                           and low[0] // block == low[-1] // block < whole)
+            d2 = np.minimum(d2, new)
+        seen["cell in block"] += inside
+    assert min(seen.values()) >= 20, seen
+
+
+def test_sorted_seeding_zero_mass_of_equal_blocks():
+    # float64 runs of equal values, each filling whole blocks of B >= 7,
+    # whose block means or M2 round away from the value, so a moment mass
+    # taken at face value is not 0 on a chosen center. While the total is
+    # positive no center may repeat: the first five are the five values.
+    values, c = np.array([0.1, 0.3, 0.9, 1.1, 3.7]), 6
+    for block, runs in ((7, 9), (11, 14), (13, 16)):
+        xs = np.repeat(values, runs * block)
+        assert math.isqrt(xs.size // c) == block
+        _, means, m2 = _block_moments(xs, block)
+        assert np.any((means != xs[::block]) | (m2 > 0)), block
+        for seed in range(20):
+            got = _seed(xs[None], c, seed)[:, 0]
+            assert np.unique(got[:5]).size == 5, (block, seed)
+            assert np.isin(got[5], values)
+
+
+def test_sorted_seeding_target_past_a_block_sum(monkeypatch):
+    # u just under 1 puts the target just under the total. Step 0 takes the
+    # largest value x; the values are B - 3 others below it, then x. So all
+    # mass is in block 0, a whole block in x's cell, whose moment mass may
+    # round above its direct sum: then the target passes that sum, and the
+    # pick must be the block's last point of positive d2, never one of its
+    # trailing x (d2 = 0). Some data seeds must reach that case.
+    class High:
+        def __init__(self, seed):
+            pass
+
+        def uniforms(self, n):
+            return np.full(n, 1 - 2.0**-53)
+
+    passed = []
+    pick = KMEANS._pick
+
+    def spied(cum, u, block, d2_of):
+        def seen(b):
+            d2 = d2_of(b)
+            passed.append(u * cum[-1] >= np.cumsum(d2)[-1] + (cum[b - 1] if b else 0.0))
+            return d2
+        return pick(cum, u, block, seen)
+
+    monkeypatch.setattr(KMEANS, "SplitMix64", High)
+    monkeypatch.setattr(KMEANS, "_pick", spied)
+    block = 8
+    m = 2 * block * block  # c = 2, so B = isqrt(m // 2)
+    for s in range(40):
+        low = np.sort(np.random.default_rng(s).uniform(0, 0.5, size=block - 3))
+        xs = np.concatenate([low, np.ones(m - low.size)])
+        assert np.array_equal(_seed(xs[None], 2, 0)[:, 0], [1.0, low[-1]]), s
+    assert any(passed)
+
+
+def test_sorted_seeding_moment_memory_bound():
+    # d = 1 seeding holds no d2 of m values: given the moment table, it
+    # peaks under an eighth of one m-long float64 array
+    m = 4 * _CHUNK_ROWS
+    xs = np.sort(np.random.default_rng(0).normal(size=m))
+    moments = _block_moments(xs, math.isqrt(m // 50))
+    assert traced_peak(_seed, xs[None], 50, 1, moments) < m * 8 / 8
+
+
+def test_block_moments_memory_bound():
+    # the table (three floats a block) and one pass of _CHUNK_ROWS values;
+    # numpy's broadcasting subtract holds a ufunc buffer of np.getbufsize()
+    # values (64 KiB) beside it, inside 0.2 passes of margin
+    m = 4 * _CHUNK_ROWS
+    xs = np.sort(np.random.default_rng(0).normal(size=m))
+    for block in (8, 72, 512):
+        table = 3 * (m // block) * 8
+        assert traced_peak(_block_moments, xs, block) < table + 1.2 * _CHUNK_ROWS * 8, block
+
+
+def test_sorted_seeding_cells_match_oracle_at_unit_blocks():
+    # at m < 4 c, B = 1: every moment mass is one value's d2, exact, so the
+    # centers equal the oracle's on any values, and a value the cell edges
+    # give to the wrong center shows. The values are a few ulps apart, where
+    # a midpoint rounds onto a neighbour, or straddle 0, where its rounding
+    # is far below the squares'.
+    rng = np.random.default_rng(36)
+    for case in range(300):
+        m = int(rng.integers(2, 60))
+        c = int(rng.integers(m // 4 + 1, m + 1))
+        if case % 2:
+            base = float(rng.normal())
+            values = base + rng.integers(-4, 5, size=m) * np.spacing(base)
+        else:
+            values = rng.choice([-1.0, 1.0, -3e-17, 0.0, 4e-17, 1e-20, 2.0], size=m)
+        xs = np.sort(values)
+        assert math.isqrt(m // c) == 1
+        seed = int(rng.integers(0, 2**63))
+        got = _seed(xs[None], c, seed)
+        assert np.array_equal(got, brute_force_sorted_plus_plus(xs[:, None], c, seed, 1)), case
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_seeding_subnormal_total(d):
+    # 127 points at x = 1e-150 and one 1.6e-162 above: its d2 from x is the
+    # smallest subnormal, and a whole block's moment mass underflows to 0
+    # below it. A seeding that starts at x must take the other point next,
+    # though u times that total rounds up to the total for u >= 1/2.
+    x = 1e-150
+    values = np.full(128, x)
+    values[-1] += 1.6e-162
+    _, means, m2 = _block_moments(values, 8)
+    assert (values[-1] - x) ** 2 > 0 and m2[-1] == 8 * (means[-1] - x) ** 2 == 0
+    pts = lift(values[:, None], d)
+    starts = 0
+    for seed in range(8):
+        got = seed_of(pts, 2, seed)
+        if got[0, 0] == x:
+            starts += 1
+            assert got[1, 0] == values[-1], seed
+        # a target equal to the total picks inside the last block of mass
+        res = kmeans(pts, 2, seed)
+        assert d > 1 or res.objective == 0
+    assert starts >= 4
