@@ -43,9 +43,11 @@ of two kernels, chosen from the point dimension d alone:
   statistics pass: per-cluster counts and sums by np.bincount, and one
   residual whose squares give the objective.
 
-Both kernels resolve ties to the lowest centroid index, and neither the
-kernel nor the block sizes are settings: they follow from the shape of the
-points and c, so results stay a pure function of the three inputs above.
+Both kernels resolve ties to the lowest centroid index: at d == 1 a point
+equal to a rounded midpoint goes to the neighbour it is nearer by float64
+squares, to the lower index on a tie. Neither the kernel nor the block
+sizes are settings: they follow from the shape of the points and c, so
+results stay a pure function of the three inputs above.
 The d == 1 means, variances and objective are those of the last
 iteration's runs, in sorted order (the objective sums the runs' SSE). When
 no iteration had an empty cluster, they depend on the multiset of values
@@ -79,17 +81,15 @@ only d2 grows with m.
 When d == 1 the blocks are those of the update's moment table (above),
 built once per kmeans call, and no d2 is stored. A new center x lowers d2
 only in its cell, the sorted positions nearer x than its chosen
-neighbours, whose edges are the midpoints searched into the sorted values.
-A whole block inside the cell takes the mass M2 + B (mean - x)^2 (Chan,
-Golub & LeVeque again), at least its largest d2, which is at one of its
-ends, and 0 when that is 0. The at most two blocks split by the cell's
-edges, and the partial last block, take the running sum of their values'
-d2, each the smaller square to the two chosen centers around it; the pick
-finds the chosen block's d2 the same way. A step costs O(m / B + B), and
-nothing in seeding is m long. The running sums are those of a d2 in blocks
-of B bit for bit; the moment masses round differently, by about
-eps |x| / |mean - x| of themselves: far below the spacing of binary32
-inputs, but large for float64 values a few ulps from a center.
+neighbours, whose edges follow the assignment's midpoint rule, x taking
+ties. A whole block inside the cell takes the mass M2 + B (mean - x)^2
+(Chan, Golub & LeVeque again), which errs by about eps |x| / |mean - x| of
+itself: so a block whose mean is within max(2^-26 |x|, 2^-500) of x, but
+not equal to it, takes the running sum of its values' d2 instead, as do
+the at most two blocks split by the cell's edges and the partial last
+block. Each d2 there is the smaller square to the two chosen centers
+around its value, and the pick finds the chosen block's d2 the same way.
+A step costs O(m / B + B), and nothing in seeding is m long.
 """
 
 from __future__ import annotations
@@ -210,7 +210,6 @@ def _seed_sorted(xs: np.ndarray, c: int, seed: int, moments) -> np.ndarray:
     no d2 of m values (see the module docstring)."""
     m, block = xs.size, _moment_block(xs.size, c)
     _, means, m2 = _block_moments(xs, block) if moments is None else moments
-    whole = means.size
     mass = np.zeros(-(-m // block))  # the whole blocks, then the partial last one
     chosen = [-math.inf, math.inf]  # center values, ascending, between sentinels
     centers = np.empty((c, 1))
@@ -226,36 +225,31 @@ def _seed_sorted(xs: np.ndarray, c: int, seed: int, moments) -> np.ndarray:
         k = bisect_left(chosen, x)
         chosen.insert(k, x)
         grid = np.array(chosen)
-        # x's cell: the positions [lo, hi) whose d2 is now their distance to x
-        lo, hi = _cell_edge(xs, x, chosen[k - 1]), _cell_edge(xs, x, chosen[k + 1])
-        first, last = -(-lo // block), min(hi // block, whole)
-        if first < last:
-            # a whole block in the cell: M2 + B (mean - x)^2 (Chan, Golub &
-            # LeVeque), at least its largest d2, which is at one of its ends,
-            # and exactly 0 when that is 0
-            top = np.maximum((xs[first * block:last * block:block] - x) ** 2,
-                             (xs[first * block + block - 1:last * block:block] - x) ** 2)
-            mass[first:last] = np.maximum(block * (means[first:last] - x) ** 2 + m2[first:last],
-                                          top) * (top > 0)
-        for j in {lo // block, (hi - 1) // block}:
-            if not first <= j < last:  # split by the cell's edge, or the partial last block
-                mass[j] = np.cumsum(_nearest_d2(xs[j * block:(j + 1) * block], grid))[-1]
+        # x's cell: the positions [lo, hi) whose d2 is now their distance to
+        # x, which takes the values on its edges that are as near it
+        lo, hi = _boundaries(xs, grid[k - 1:k + 1], grid[k:k + 2], (False, True)).tolist()
+        first, last = -(-lo // block), min(hi // block, means.size)
+        # A whole block in the cell takes M2 + B (mean - x)^2 (Chan, Golub &
+        # LeVeque). Why 2^-26: with D = mean - x, σ^2 the block's variance
+        # and δ the error of its rounded mean, that mass exceeds the d2 sum
+        # B (σ^2 + (D - δ)^2) by 2 B D δ, past the roundings of its own sums.
+        # numpy's pairwise sum of B < 2^16 values rounds at most 40 times on
+        # a path, so |δ| <= 40 u (|x| + |D| + |δ| + σ), u = 2^-53, and the
+        # mass errs by at most about 320 u (|x| / |D| + 2) of itself: under
+        # 2^-18 when |D| > 2^-26 |x|. Binary32 values near x lie about
+        # 2^-24 |x| apart, so their blocks come nearer only by straddling x.
+        # A nearer block takes its running d2 sum, unless D = 0, where M2
+        # sums its very d2. Past 2^-500 no square underflows, so every mass
+        # is positive exactly when one of its d2 is.
+        off = means[first:last] - x
+        mass[first:last] = block * off ** 2 + m2[first:last]
+        near = (off != 0) & (np.abs(off) <= max(2.0**-26 * abs(x), 2.0**-500))
+        split = [j for j in {lo // block, (hi - 1) // block} if not first <= j < last]
+        for j in split + (first + near.nonzero()[0]).tolist():  # split, partial or near x
+            mass[j] = np.cumsum(_nearest_d2(xs[j * block:(j + 1) * block], grid))[-1]
         cum = np.cumsum(mass)
         total = float(cum[-1])
     return centers
-
-
-def _cell_edge(xs: np.ndarray, x: float, y: float) -> int:
-    """Sorted position where center x's cell meets that of its chosen
-    neighbour y (a sentinel ±inf when there is none). The midpoint of x and y
-    rounds, but no float lies strictly between it and the exact midpoint, so
-    a value past it toward x is at least as near x as y, and one short of it
-    at least as near y as x; values equal to it go to x when they are at
-    least as near x. Between the two edges every d2 is the square to x, and
-    outside them x lowers none."""
-    mid = 0.5 * (x + y)  # ±inf at a sentinel, where either side gives 0 or m
-    nearer_x = (mid - x) * (mid - x) <= (mid - y) * (mid - y)
-    return int(np.searchsorted(xs, mid, "left" if nearer_x == (y < x) else "right"))
 
 
 def _nearest_d2(values: np.ndarray, chosen: np.ndarray) -> np.ndarray:
@@ -289,13 +283,29 @@ def _assign_sorted(xs: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, n
     distinct centroid once, in ascending order of value."""
     # of equal centroids (-0.0 and 0.0 too), the lowest index
     cs, labels = np.unique(centroids[:, 0], return_index=True)
-    mid = 0.5 * (cs[:-1] + cs[1:])
-    # a point on a midpoint goes to the lower-indexed neighbour
-    bounds = np.where(labels[:-1] < labels[1:],
-                      np.searchsorted(xs, mid, side="right"),
-                      np.searchsorted(xs, mid, side="left"))
-    # adjacent doubles can round to one midpoint; keep every run length >= 0
+    bounds = _boundaries(xs, cs[:-1], cs[1:], labels[:-1] < labels[1:])
+    # three neighbours an ulp apart can share one midpoint, the middle one;
+    # if their squares underflow to a tie, its values go both ways. Keep
+    # every run length >= 0
     return labels, np.concatenate(([0], np.maximum.accumulate(bounds), [xs.size]))
+
+
+def _boundaries(xs: np.ndarray, below: np.ndarray, above: np.ndarray,
+                below_wins: np.ndarray | tuple[bool, ...]) -> np.ndarray:
+    """Sorted positions in ascending xs where the values nearer the centers
+    `below` end and those nearer their neighbours `above` begin. The rounded
+    midpoint of two centers has no float strictly between it and the exact
+    one, so a value short of it is at least as near `below`, and one past it
+    at least as near `above`. A value equal to it goes to the center it is
+    nearer by float64 squares, on a tie to `below` where below_wins."""
+    mid = 0.5 * (below + above)  # ±inf beside a sentinel, which no value equals
+    lo, hi = xs.searchsorted(mid), xs.searchsorted(mid, "right")
+    on = (lo < hi).nonzero()[0]  # midpoints equal to a value
+    if on.size:
+        # how much nearer `above` it is; a float difference has an exact sign
+        gap = (mid[on] - below[on]) ** 2 - (mid[on] - above[on]) ** 2
+        lo[on] = np.where((gap < 0) | ((gap == 0) & np.take(below_wins, on)), hi[on], lo[on])
+    return lo
 
 
 def _run_starts(xs: np.ndarray, edges: np.ndarray) -> tuple[float, float, np.ndarray]:

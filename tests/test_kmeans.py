@@ -260,8 +260,8 @@ def test_sorted_kmeans_memory_bound():
     m = 4 * _CHUNK_ROWS
     pts = np.random.default_rng(0).normal(size=(m, 1))
     peak = traced_peak(kmeans, pts, 50, 1)
-    # measured: 2.30 arrays (the sorted copy, the seeding's d2 and its buffer
-    # of _CHUNK_ROWS points); 0.2 arrays of margin for small temporaries
+    # measured: 1.32 arrays, at the moment table's build: the sorted copy,
+    # one pass of _CHUNK_ROWS values and the table. Seeding holds no d2.
     assert peak < 2.5 * m * 8
 
 
@@ -481,6 +481,10 @@ def sorted_nearest(pts, centroids):
     # signed zeros are one centroid value: the lowest index takes both zeros
     ([[-0.0], [1.0], [0.0], [3.0], [-1.0]], [[0.0], [-0.0], [2.0]]),
     ([[0.0], [-1.0], [-0.0], [1.0], [2.0]], [[-0.0], [2.0], [0.0]]),
+    # a binary32 value on the rounded midpoint of two centroids goes to the
+    # one it is nearer in float64 (the upper), whatever their index order
+    ([[0.3455841839313507]], [[0.34558340037522933], [0.34558496748747203]]),
+    ([[0.3455841839313507]], [[0.34558496748747203], [0.34558340037522933]]),
 ])
 def test_sorted_assignment_cases(pts, centroids):
     pts, centroids = np.array(pts), np.array(centroids)
@@ -488,18 +492,26 @@ def test_sorted_assignment_cases(pts, centroids):
                           brute_force_nearest(pts, centroids))
 
 
-@pytest.mark.parametrize("trial", range(30))
+@pytest.mark.parametrize("trial", range(45))
 def test_sorted_assignment_matches_brute_force(trial):
     rng = np.random.default_rng(trial)
-    m, c = int(rng.integers(1, 200)), int(rng.integers(1, 12))
-    if trial % 2:
-        pts, centroids = rng.normal(size=(m, 1)), rng.normal(size=(c, 1))
-    else:
-        # small integers and halves: duplicate centroids, exact midpoints
-        pts = rng.integers(-8, 9, size=(m, 1)) / 2.0
-        centroids = rng.integers(-3, 4, size=(c, 1)).astype(np.float64)
-    assert np.array_equal(sorted_nearest(pts, centroids),
-                          brute_force_nearest(pts, centroids))
+    for _ in range(1 if trial < 30 else 10):
+        m, c = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+        if trial >= 30:
+            # float64 values 1 + k eps, |k| <= 5, and centroids that are means
+            # of one to five of them: midpoints round onto values
+            eps = np.finfo(np.float64).eps
+            pts = 1 + rng.integers(-5, 6, size=(m, 1)) * eps
+            sizes = rng.integers(1, 6, size=c)
+            centroids = np.array([[np.mean(1 + rng.integers(-5, 6, size=n) * eps)] for n in sizes])
+        elif trial % 2:
+            pts, centroids = rng.normal(size=(m, 1)), rng.normal(size=(c, 1))
+        else:
+            # small integers and halves: duplicate centroids, exact midpoints
+            pts = rng.integers(-8, 9, size=(m, 1)) / 2.0
+            centroids = rng.integers(-3, 4, size=(c, 1)).astype(np.float64)
+        assert np.array_equal(sorted_nearest(pts, centroids),
+                              brute_force_nearest(pts, centroids))
 
 
 def lookup_case(kind, buckets):
@@ -810,8 +822,8 @@ def test_sorted_seeding_second_center_law():
 
 
 def test_sorted_seeding_memory_bound():
-    # beside the sorted values, only d2 is m long; the update and the pick
-    # reuse one buffer of at most _CHUNK_ROWS points
+    # given no table, seeding builds the moment table in passes of
+    # _CHUNK_ROWS values and holds no d2: measured 0.32 arrays
     m = 4 * _CHUNK_ROWS
     xs = np.sort(np.random.default_rng(0).normal(size=m))
     assert traced_peak(_seed, xs[None], 50, 1) < 1.5 * m * 8
@@ -823,21 +835,25 @@ def test_sorted_seeding_matches_oracle_at_moment_blocks():
     # sums, which are the oracle's at block B bit for bit: only the moment
     # masses round differently, so the centers must be the same. The cases
     # are float32 values, heavy-tailed, on a grid of 13 values, or drawn from
-    # a pool, and are counted by the block shapes they reach. With this B,
-    # m < 2 B holds only at m = 1.
+    # a pool, or float64 values within 40 ulps of a base, where a moment mass
+    # near a center would keep few correct digits; they are counted by the
+    # block shapes they reach. With this B, m < 2 B holds only at m = 1.
     rng = np.random.default_rng(35)
     seen = dict.fromkeys(["partial", "one block", "constant", "cell in block"], 0)
-    for case in range(240):
-        m = 1 if case % 10 == 0 else int(np.exp(rng.uniform(np.log(2), np.log(5001))))
+    for case in range(320):
+        m = 1 if case % 9 == 0 else int(np.exp(rng.uniform(np.log(2), np.log(5001))))
         c = int(rng.integers(1, min(60, m) + 1))
-        if case % 3 == 0:
+        if case % 4 == 0:
             values = rng.normal(size=m) * np.exp(rng.normal(size=m))
-        elif case % 3 == 1:
+        elif case % 4 == 1:
             values = rng.integers(-6, 7, size=m) / 4
-        else:
+        elif case % 4 == 2:
             pool = rng.normal(size=int(rng.integers(1, m + 1)))
             values = pool[rng.integers(0, pool.size, size=m)]
-        xs = np.sort(values.astype(np.float32)).astype(np.float64)
+        else:
+            base = float(rng.normal())
+            values = base + rng.integers(-40, 41, size=m) * np.spacing(base)
+        xs = np.sort(values if case % 4 == 3 else values.astype(np.float32)).astype(np.float64)
         seed = int(rng.integers(0, 2**63))
         block, whole = math.isqrt(m // c), m // math.isqrt(m // c)
         got = _seed(xs[None], c, seed)
@@ -908,6 +924,52 @@ def test_sorted_seeding_target_past_a_block_sum(monkeypatch):
         xs = np.concatenate([low, np.ones(m - low.size)])
         assert np.array_equal(_seed(xs[None], 2, 0)[:, 0], [1.0, low[-1]]), s
     assert any(passed)
+
+
+def test_sorted_seeding_direct_sums_stay_near_centers(monkeypatch):
+    # 20 distinct binary32 values fill whole blocks of B = 72 equal values.
+    # A block whose mean equals the new center keeps its moment mass (M2,
+    # the sum of its own d2), so d2 is summed directly in about the cell
+    # edges' split blocks, one block a center, not in the hundreds of
+    # blocks that hold each value
+    seen = []
+    nearest = KMEANS._nearest_d2
+
+    def spied(values, chosen):
+        seen.append(values.size)
+        return nearest(values, chosen)
+
+    monkeypatch.setattr(KMEANS, "_nearest_d2", spied)
+    m, c = 4 * _CHUNK_ROWS, 50
+    rng = np.random.default_rng(20)
+    pool = rng.normal(size=20).astype(np.float32)
+    xs = np.sort(pool[rng.integers(0, pool.size, size=m)]).astype(np.float64)
+    block = math.isqrt(m // c)
+    assert block == 72
+    for seed in range(3):
+        seen.clear()
+        _seed(xs[None], c, seed)
+        assert sum(seen) <= 3 * block * c, seed
+
+
+def test_sorted_seeding_no_mass_where_squares_underflow(monkeypatch):
+    # a = 2^-538: from a center at 0, the d2 of -1.4 a and 1.4 a underflow
+    # to 0 and that of 3 a does not. Block 0, [-1.4 a, 0, 1.4 a, 1.4 a], has
+    # a positive M2 (its deviations from its mean, 0.35 a, are larger), so a
+    # moment mass would put mass over d2 of 0. u = 0 then aims the second
+    # pick at the first block of positive mass, which must be the last one.
+    class Low:
+        def __init__(self, seed):
+            pass
+
+        def uniforms(self, n):
+            return np.array([1.5 / 32, 0.0])[:n]  # step 0 takes xs[1] = 0
+
+    a = 2.0**-538
+    xs = np.array([-1.4 * a, 0.0] + [1.4 * a] * 29 + [3 * a])
+    assert (1.4 * a) ** 2 == 0 < (3 * a) ** 2 and _block_moments(xs, 4)[2][0] > 0
+    monkeypatch.setattr(KMEANS, "SplitMix64", Low)
+    assert np.array_equal(_seed(xs[None], 2, 0)[:, 0], [0.0, 3 * a])
 
 
 def test_sorted_seeding_moment_memory_bound():
