@@ -32,7 +32,9 @@ def _load_embedding(path: str, fmt: str, rows: int | None, cols: int | None):
 
 
 def _save_embedding(e, path: str, fmt: str, vocab_path: str | None):
-    if fmt == "w2v" and e.vocab is None:
+    """Write reconstruct's output e, which has no vocabulary, in format fmt;
+    word2vec text takes its tokens from the file vocab_path."""
+    if fmt == "w2v":
         if vocab_path is None:
             raise DataError("w2v output requires a vocabulary (--vocab)")
         try:

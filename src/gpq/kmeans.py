@@ -43,9 +43,10 @@ of two kernels, chosen from the point dimension d alone:
   statistics pass: per-cluster counts and sums by np.bincount, and one
   residual whose squares give the objective.
 
-Both kernels resolve ties to the lowest centroid index: at d == 1 a point
-equal to a rounded midpoint goes to the neighbour it is nearer by float64
-squares, to the lower index on a tie. Neither the kernel nor the block
+Both kernels resolve ties to the lowest centroid index: at d == 1, where
+ties are decided between neighbouring centroids (see _assign_sorted), a
+point equal to a rounded midpoint goes to the neighbour it is nearer by
+float64 squares, to the lower index on a tie. Neither the kernel nor the block
 sizes are settings: they follow from the shape of the points and c, so
 results stay a pure function of the three inputs above.
 The d == 1 means, variances and objective are those of the last
@@ -55,41 +56,45 @@ alone, so a row permutation leaves them bit-identical and permutes the
 assignments. A last iteration that held labels returns the squared
 residuals summed in input order as its objective.
 
-k-means++ seeding (D² sampling, Arthur & Vassilvitskii 2007) is one rule
-for every d. The points are taken in a canonical order: ascending values
-when d == 1, else ascending 64-bit content hashes of the rows (a stable
-argsort, so equal rows are adjacent and the order depends on the multiset
-of rows alone, up to hash collisions). Step k takes the k-th uniform u in
-[0, 1) of SplitMix64(seed): step 0 picks canonical index floor(u * m),
-every later step the first point whose cumulative d2 (squared distance to
-the nearest chosen center) exceeds u times the total. The cumulative d2 is
-a running sum of block masses plus a running sum of d2 inside the chosen
-block. A block's mass is positive exactly when one of its d2 is, so no
-point of d2 = 0 is picked while the total is positive: a target past the
-chosen block's running sum (a mass rounded above it) takes the block's
-last point of positive d2. At total 0 (fewer distinct points than
-centers) the pick is uniform, as at step 0.
+k-means++ seeding (D² sampling, Arthur & Vassilvitskii 2007) is one step
+loop for every d, in _seed. The points are taken in a canonical order:
+ascending values when d == 1, else ascending 64-bit content hashes of the
+rows (a stable argsort, so equal rows are adjacent and the order depends on
+the multiset of rows alone, up to hash collisions). Step k takes the k-th
+uniform u in [0, 1) of SplitMix64(seed). Step 0, and any step where every d2
+(squared distance to the nearest chosen center) is 0, as when there are
+fewer distinct points than centers, picks canonical index floor(u * m); at
+total 0 the masses stay as they are. Any other step picks the first point
+whose cumulative d2 exceeds u times the total: a running sum of block
+masses, then a running sum of d2 inside the chosen block, whose d2 the
+kernel's d2_of gives. A block's mass is positive exactly when one of its d2
+is, so no point of d2 = 0 is picked while the total is positive: a target
+past the chosen block's running sum (a mass rounded above it, or u times a
+subnormal total rounded up to the total) takes the block's last point of
+positive d2. Each new center then updates the masses, whose running sums
+give the next step's total. The kernels differ only in how they hold the
+masses:
 
-When d > 1 the blocks are _MASS_BLOCK points, and each step updates an
-m-long d2 in passes of whole blocks, summing (column_j - center_j)^2 in
-coordinate order; that sequential sum equals numpy's row sum for d < 8,
-and above, where numpy sums pairwise, the two may differ by an ulp. A
-block's mass is the running sum of its d2. Beside the canonical copy of
-the points (and, while it is made, the row hashes, then their argsort),
-only d2 grows with m.
-
-When d == 1 the blocks are those of the update's moment table (above),
-built once per kmeans call, and no d2 is stored. A new center x lowers d2
-only in its cell, the sorted positions nearer x than its chosen
-neighbours, whose edges follow the assignment's midpoint rule, x taking
-ties. A whole block inside the cell takes the mass M2 + B (mean - x)^2
-(Chan, Golub & LeVeque again), which errs by about eps |x| / |mean - x| of
-itself: so a block whose mean is within max(2^-26 |x|, 2^-500) of x, but
-not equal to it, takes the running sum of its values' d2 instead, as do
-the at most two blocks split by the cell's edges and the partial last
-block. Each d2 there is the smaller square to the two chosen centers
-around its value, and the pick finds the chosen block's d2 the same way.
-A step costs O(m / B + B), and nothing in seeding is m long.
+- d > 1: an m-long d2, padded with zeros to whole blocks of _MASS_BLOCK
+  points. A new center lowers it in passes of whole blocks, summing
+  (column_j - center_j)^2 in coordinate order; that sequential sum equals
+  numpy's row sum for d < 8, and above, where numpy sums pairwise, the two
+  may differ by an ulp. A block's mass is the running sum of its d2, and
+  d2_of is a slice of d2. Beside the canonical copy of the points (and,
+  while it is made, the row hashes, then their argsort), only d2 grows
+  with m.
+- d == 1: the blocks of the update's moment table (above), built once per
+  kmeans call, and no d2 at all: d2_of computes a block's d2 from the
+  ascending chosen centers, each value's smaller square to the two around
+  it. A new center x lowers d2 only in its cell, the sorted positions
+  nearer x than its chosen neighbours, whose edges follow the assignment's
+  midpoint rule, x taking ties. A whole block inside the cell takes the
+  mass M2 + B (mean - x)^2 (Chan, Golub & LeVeque again), which errs by
+  about eps |x| / |mean - x| of itself: so a block whose mean is within
+  max(2^-26 |x|, 2^-500) of x, but not equal to it, takes the running sum
+  of its d2 from d2_of instead, as do the at most two blocks split by the
+  cell's edges and the partial last block. A step costs O(m / B + B), and
+  nothing in seeding is m long.
 """
 
 from __future__ import annotations
@@ -148,40 +153,82 @@ def _canonical(pts: np.ndarray, seed: int) -> np.ndarray:
 def _seed(cols: np.ndarray, c: int, seed: int, moments=None) -> np.ndarray:
     """(c, d) k-means++ centers of the points cols = _canonical(pts, seed),
     picked by D² mass over the canonical order (see the module docstring).
-    When d == 1 the masses come from moments = _block_moments(cols[0],
+    One step loop draws, picks, skips once every d2 is 0 and keeps the
+    running masses and total; each kernel gives it a block size, d2_of(b),
+    the d2 of block b that _pick reads, and the mass update for a new
+    center. When d > 1 a block's mass is the running sum of its part of a
+    stored d2. When d == 1 it comes from moments = _block_moments(cols[0],
     _moment_block(m, c)), the table of Lloyd's update, built here if not
-    given."""
-    (d, m), block = cols.shape, _MASS_BLOCK
+    given, or from the running sum of its d2_of."""
+    d, m = cols.shape
     if d == 1:
-        return _seed_sorted(cols[0], c, seed, moments)
-    d2 = np.full(-(-m // block) * block, np.inf)
-    d2[m:] = 0.0  # padding to whole blocks carries no mass
-    mass = np.empty(d2.size // block)
-    rows = block * max(1, _CHUNK_ROWS // block)  # whole blocks per update pass
-    buf, term = np.empty(min(rows, d2.size)), np.empty(min(rows, d2.size))
+        xs, block = cols[0], _moment_block(m, c)
+        _, means, m2 = _block_moments(xs, block) if moments is None else moments
+        chosen = [-math.inf, math.inf]  # center values, ascending, between sentinels
+
+        def d2_of(b):  # from grid, the chosen centers of the steps so far
+            return _nearest_d2(xs[b * block:(b + 1) * block], grid)
+    else:
+        block = _MASS_BLOCK
+        d2 = np.full(-(-m // block) * block, np.inf)
+        d2[m:] = 0.0  # padding to whole blocks carries no mass
+        rows = block * max(1, _CHUNK_ROWS // block)  # whole blocks per update pass
+        buf, term = np.empty(min(rows, d2.size)), np.empty(min(rows, d2.size))
+
+        def d2_of(b):
+            return d2[b * block:(b + 1) * block]
+    mass = np.zeros(-(-m // block))  # per block; d == 1 ends in a partial one
     centers = np.empty((c, d))
     total = 0.0
     for step, u in enumerate(SplitMix64(seed).uniforms(c).tolist()):
-        if not total > 0:
-            idx = int(u * m)  # step 0, or fewer distinct points than centers; u * m < m
-        else:  # points within binary32 range keep the total finite
-            idx = _pick(cum, u, block, lambda b: d2[b * block:(b + 1) * block])
+        # uniform at step 0 and at total 0 (u * m < m); points within
+        # binary32 range keep the total finite
+        idx = _pick(cum, u, block, d2_of) if total > 0 else int(u * m)
         centers[step] = center = cols[:, idx].tolist()
         if step and not total > 0:
             continue  # every d2 is already 0
-        for s in range(0, d2.size, rows):
-            e = min(s + rows, d2.size)
-            q = min(m, e)
-            near = np.subtract(cols[0, s:q], center[0], out=buf[:q - s])
-            near *= near
-            for j in range(1, d):
-                t = np.subtract(cols[j, s:q], center[j], out=term[:q - s])
-                t *= t
-                near += t
-            np.minimum(d2[s:q], near, out=d2[s:q])
-            sums = np.cumsum(d2[s:e].reshape(-1, block), axis=1,
-                             out=buf[:e - s].reshape(-1, block))
-            mass[s // block:e // block] = sums[:, -1]
+        if d == 1:
+            x = center[0]
+            k = bisect_left(chosen, x)
+            chosen.insert(k, x)
+            grid = np.array(chosen)
+            # x's cell: the positions [lo, hi) whose d2 is now their distance
+            # to x, which takes the values on its edges that are as near it
+            lo, hi = _boundaries(xs, grid[k - 1:k + 1], grid[k:k + 2], (False, True)).tolist()
+            first, last = -(-lo // block), min(hi // block, means.size)
+            # A whole block in the cell takes M2 + B (mean - x)^2 (Chan, Golub
+            # & LeVeque). Why 2^-26: with D = mean - x, σ^2 the block's
+            # variance and δ the error of its rounded mean, that mass exceeds
+            # the d2 sum B (σ^2 + (D - δ)^2) by 2 B D δ, past the roundings of
+            # its own sums. numpy's pairwise sum of B < 2^16 values rounds
+            # at most 40 times on a path, so |δ| <= 40 u (|x| + |D| + |δ| +
+            # σ), u = 2^-53, and the mass errs by at most about 320 u (|x| /
+            # |D| + 2) of itself: under 2^-18 when |D| > 2^-26 |x|. Binary32
+            # values near x lie about 2^-24 |x| apart, so their blocks come
+            # nearer only by straddling x. A nearer block takes its running
+            # d2 sum, unless D = 0, where M2 sums its very d2. Past 2^-500 no
+            # square underflows, so every mass is positive exactly when one
+            # of its d2 is.
+            off = means[first:last] - x
+            mass[first:last] = block * off ** 2 + m2[first:last]
+            near = (off != 0) & (np.abs(off) <= max(2.0**-26 * abs(x), 2.0**-500))
+            split = [j for j in {lo // block, (hi - 1) // block} if not first <= j < last]
+            for j in split + (first + near.nonzero()[0]).tolist():  # split, partial or near x
+                mass[j] = np.cumsum(d2_of(j))[-1]
+        else:
+            for s in range(0, d2.size, rows):
+                e = min(s + rows, d2.size)
+                q = min(m, e)
+                near = np.subtract(cols[0, s:q], center[0], out=buf[:q - s])
+                near *= near
+                for j in range(1, d):
+                    t = np.subtract(cols[j, s:q], center[j], out=term[:q - s])
+                    t *= t
+                    near += t
+                np.minimum(d2[s:q], near, out=d2[s:q])
+                sums = np.cumsum(d2[s:e].reshape(-1, block), axis=1,
+                                 out=buf[:e - s].reshape(-1, block))
+                mass[s // block:e // block] = sums[:, -1]
         cum = np.cumsum(mass)
         total = float(cum[-1])
     return centers
@@ -203,53 +250,6 @@ def _pick(cum: np.ndarray, u: float, block: int, d2_of) -> int:
     run += cum[b - 1] if b else 0.0
     i = int(np.searchsorted(run, target, "right"))
     return b * block + (i if i < d2.size else int(np.flatnonzero(d2)[-1]))
-
-
-def _seed_sorted(xs: np.ndarray, c: int, seed: int, moments) -> np.ndarray:
-    """_seed for ascending values xs: D² mass by block of the moment table,
-    no d2 of m values (see the module docstring)."""
-    m, block = xs.size, _moment_block(xs.size, c)
-    _, means, m2 = _block_moments(xs, block) if moments is None else moments
-    mass = np.zeros(-(-m // block))  # the whole blocks, then the partial last one
-    chosen = [-math.inf, math.inf]  # center values, ascending, between sentinels
-    centers = np.empty((c, 1))
-    total = 0.0
-    for step, u in enumerate(SplitMix64(seed).uniforms(c).tolist()):
-        if not total > 0:
-            idx = int(u * m)  # as in _seed
-        else:
-            idx = _pick(cum, u, block, lambda b: _nearest_d2(xs[b * block:(b + 1) * block], grid))
-        centers[step] = x = float(xs[idx])
-        if step and not total > 0:
-            continue  # every d2 is already 0
-        k = bisect_left(chosen, x)
-        chosen.insert(k, x)
-        grid = np.array(chosen)
-        # x's cell: the positions [lo, hi) whose d2 is now their distance to
-        # x, which takes the values on its edges that are as near it
-        lo, hi = _boundaries(xs, grid[k - 1:k + 1], grid[k:k + 2], (False, True)).tolist()
-        first, last = -(-lo // block), min(hi // block, means.size)
-        # A whole block in the cell takes M2 + B (mean - x)^2 (Chan, Golub &
-        # LeVeque). Why 2^-26: with D = mean - x, σ^2 the block's variance
-        # and δ the error of its rounded mean, that mass exceeds the d2 sum
-        # B (σ^2 + (D - δ)^2) by 2 B D δ, past the roundings of its own sums.
-        # numpy's pairwise sum of B < 2^16 values rounds at most 40 times on
-        # a path, so |δ| <= 40 u (|x| + |D| + |δ| + σ), u = 2^-53, and the
-        # mass errs by at most about 320 u (|x| / |D| + 2) of itself: under
-        # 2^-18 when |D| > 2^-26 |x|. Binary32 values near x lie about
-        # 2^-24 |x| apart, so their blocks come nearer only by straddling x.
-        # A nearer block takes its running d2 sum, unless D = 0, where M2
-        # sums its very d2. Past 2^-500 no square underflows, so every mass
-        # is positive exactly when one of its d2 is.
-        off = means[first:last] - x
-        mass[first:last] = block * off ** 2 + m2[first:last]
-        near = (off != 0) & (np.abs(off) <= max(2.0**-26 * abs(x), 2.0**-500))
-        split = [j for j in {lo // block, (hi - 1) // block} if not first <= j < last]
-        for j in split + (first + near.nonzero()[0]).tolist():  # split, partial or near x
-            mass[j] = np.cumsum(_nearest_d2(xs[j * block:(j + 1) * block], grid))[-1]
-        cum = np.cumsum(mass)
-        total = float(cum[-1])
-    return centers
 
 
 def _nearest_d2(values: np.ndarray, chosen: np.ndarray) -> np.ndarray:
@@ -280,7 +280,12 @@ def _assign_dense(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _assign_sorted(xs: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroids of sorted 1-D points xs as runs (labels, edges):
     cluster labels[i] holds xs[edges[i]:edges[i + 1]]. labels lists each
-    distinct centroid once, in ascending order of value."""
+    distinct centroid once, in ascending order of value. Ties are decided
+    between neighbouring centroids, so where the squares to three or more
+    centroids underflow to 0 a value can take a neighbour's index rather
+    than the lowest of all: [s, 2s, 3s] against centroids [3s, s, 2s], s =
+    5e-324, get [1, 1, 0], not [0, 0, 0]. That needs values below about
+    1e-162, which no binary32 input reaches."""
     # of equal centroids (-0.0 and 0.0 too), the lowest index
     cs, labels = np.unique(centroids[:, 0], return_index=True)
     bounds = _boundaries(xs, cs[:-1], cs[1:], labels[:-1] < labels[1:])

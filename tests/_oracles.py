@@ -186,8 +186,11 @@ def brute_force_sorted_plus_plus(points, c: int, seed: int, block: int) -> np.nd
     of `block`, get running sums within each block and running sums of the
     block totals; the pick is the first block whose running total exceeds u
     times the total, then the first point of it whose running sum plus the
-    previous blocks' total exceeds it. The total is finite: kmeans takes
-    only points within binary32 range."""
+    previous blocks' total exceeds it. When u times a subnormal total rounds
+    up to the total, nothing exceeds it: the pick is then the last block of
+    positive mass and that block's last point of positive d2, so no point of
+    d2 = 0 is picked while the total is positive. The total is finite:
+    kmeans takes only points within binary32 range."""
     pts = np.asarray(points, dtype=np.float64)
     m, d = pts.shape
     pts = (np.sort(pts, axis=0) if d == 1
@@ -200,14 +203,16 @@ def brute_force_sorted_plus_plus(points, c: int, seed: int, block: int) -> np.nd
             sq = diff[:, :, 0] ** 2
             for j in range(1, d):
                 sq = sq + diff[:, :, j] ** 2
-            d2 = np.min(sq, axis=1)
-            runs = np.cumsum(np.append(d2, np.zeros(-m % block)).reshape(-1, block), axis=1)
+            d2 = np.append(np.min(sq, axis=1), np.zeros(-m % block)).reshape(-1, block)
+            runs = np.cumsum(d2, axis=1)
             totals = np.cumsum(runs[:, -1])
             total = totals[-1]
             if total > 0:
                 target = u * total
-                b = int(np.argmax(totals > target))
-                idx = b * block + int(np.argmax((totals[b - 1] if b else 0.0) + runs[b] > target))
+                over = totals > target
+                b = int(np.argmax(over) if over.any() else np.flatnonzero(runs[:, -1])[-1])
+                over = (totals[b - 1] if b else 0.0) + runs[b] > target
+                idx = b * block + int(np.argmax(over) if over.any() else np.flatnonzero(d2[b])[-1])
         centers.append(pts[idx])
     return np.array(centers)
 

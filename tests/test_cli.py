@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import shlex
 import struct
 import subprocess
@@ -384,6 +385,22 @@ def test_workflow_console_script_step(tmp_path):
                           cwd=tmp_path, env={**os.environ, "RUNNER_TEMP": str(tmp_path)},
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_console_script_entry_point(capsys):
+    # the `gpq` script that pyproject.toml declares is gpq.cli.main, so the
+    # installed command runs what the tests run. Read by a line scan, since
+    # Python 3.10 has no tomllib
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, attr = re.search(r'^gpq = "([\w.]+):(\w+)"$', section, re.M).groups()
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is main
+    with pytest.raises(SystemExit) as exit_:
+        entry(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gpq ")
 
 
 def test_cli_imports_only_stdlib_and_numpy():

@@ -926,6 +926,40 @@ def test_sorted_seeding_target_past_a_block_sum(monkeypatch):
     assert any(passed)
 
 
+def test_sorted_seeding_direct_mass_is_its_running_sum(monkeypatch):
+    # A block mass summed directly is the last entry of the running d2 sum
+    # that _pick reads. Step 0 takes the value 0; the partial last block's
+    # 15 values lie in [1, 100). numpy's pairwise sum of their d2 is an ulp
+    # below that entry, and would lower the total by an ulp. With this u,
+    # u times the true total lands exactly on the running sum through the
+    # block's first value, which does not exceed it: the pick is the
+    # block's second value. (Data seed 239 of this draw is one that puts a
+    # target there.)
+    class Fixed:
+        def __init__(self, seed):
+            pass
+
+        def uniforms(self, n):
+            return np.array([0.0, 0.010263522218135883])[:n]
+
+    on_edge = []
+    pick = KMEANS._pick
+
+    def spied(cum, u, block, d2_of):
+        on_edge.append(u * cum[-1] == cum[-2] + d2_of(cum.size - 1)[0])
+        return pick(cum, u, block, d2_of)
+
+    block, rng = 16, np.random.default_rng(239)
+    whole = 2 * block * block  # c = 2, so B = isqrt(m // 2) = 16
+    xs = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, size=whole - 1)),
+                         np.sort(np.exp(rng.uniform(0, np.log(100), size=15)))])
+    assert np.sum(xs[whole:] ** 2) != np.cumsum(xs[whole:] ** 2)[-1]
+    monkeypatch.setattr(KMEANS, "SplitMix64", Fixed)
+    monkeypatch.setattr(KMEANS, "_pick", spied)
+    assert np.array_equal(_seed(xs[None], 2, 0)[:, 0], [0.0, xs[whole + 1]])
+    assert on_edge == [True]
+
+
 def test_sorted_seeding_direct_sums_stay_near_centers(monkeypatch):
     # 20 distinct binary32 values fill whole blocks of B = 72 equal values.
     # A block whose mean equals the new center keeps its moment mass (M2,
@@ -1010,6 +1044,18 @@ def test_sorted_seeding_cells_match_oracle_at_unit_blocks():
         xs = np.sort(values)
         assert math.isqrt(m // c) == 1
         seed = int(rng.integers(0, 2**63))
+        got = _seed(xs[None], c, seed)
+        assert np.array_equal(got, brute_force_sorted_plus_plus(xs[:, None], c, seed, 1)), case
+    # Values from {-a, 0, a, 2a}, a = 2^-538, drawn by their own generator:
+    # every d2 is 0 or one or two of the smallest subnormal, so u times the
+    # total often rounds up to the total, which no running sum exceeds; the
+    # pick must then still be a point of positive d2
+    a, tiny = 2.0**-538, np.random.default_rng(37)
+    for case in range(300):
+        c = int(tiny.integers(2, 8))
+        m = int(tiny.integers(c, 4 * c))
+        xs = np.sort(tiny.choice([-a, 0.0, a, 2 * a], size=m))
+        seed = int(tiny.integers(0, 2**63))
         got = _seed(xs[None], c, seed)
         assert np.array_equal(got, brute_force_sorted_plus_plus(xs[:, None], c, seed, 1)), case
 
